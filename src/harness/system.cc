@@ -47,9 +47,9 @@ System::build(const std::string &scheme_name)
 
     // The metric registry must be (re)configured before any component
     // constructs: registration happens in constructors (master table,
-    // page pool, shard engine, ...), and configure() zeroes every
-    // value and drops stale per-build gauges. Unlike the tracer and
-    // ledger, which only export, this ordering is load-bearing.
+    // page pool, ...), and configure() zeroes every value and drops
+    // stale per-build gauges. Unlike the tracer and ledger, which only
+    // export, this ordering is load-bearing.
     obs::metricRegistry().configure(cfg_);
     exporter_.configure(cfg_);
 
@@ -65,7 +65,7 @@ System::build(const std::string &scheme_name)
     np.writeOccupancy = cfg_.getU64("nvm.write_occupancy", 400);
     np.readLatency = cfg_.getU64("nvm.read_lat", 510);
     np.bufferBytes = cfg_.getU64("nvm.buffer_mb", 32) * 1024 * 1024;
-    // Endurance model: has()-gated like par.shards so runs without
+    // Endurance model: probed with has() first so runs without
     // the key keep their resolved-config dump (and stats JSON)
     // byte-identical to before the wear model existed.
     if (cfg_.has("nvm.wear.enabled") &&
@@ -157,46 +157,12 @@ System::build(const std::string &scheme_name)
     hier->setEpochSource(
         [raw](unsigned) { return raw->globalEpoch(); });
 
-    // Shard execution engine (ROADMAP item 1). par.shards > 0 selects
-    // the host-parallel engine; the default keeps the sequential step
-    // loop, which doubles as the bit-identity oracle. Probed with
-    // has() first so a sequential run's config dump (and therefore
-    // its exported stats JSON) is unchanged from before the engine
-    // existed.
-    unsigned par_shards =
-        cfg_.has("par.shards")
-            ? static_cast<unsigned>(cfg_.getU64("par.shards", 0))
-            : 0;
-    if (par_shards > 0) {
-        par::ShardEngine::Params pp;
-        pp.shards = std::min(par_shards, num_vds);
-        pp.threads =
-            static_cast<unsigned>(cfg_.getU64("par.threads", 0));
-        pp.trafficRing = cfg_.getU64("par.ring", 1024);
-        pp.pregen = cfg_.getBool("par.pregen", true);
-        parEngine_ = std::make_unique<par::ShardEngine>(
-            pp, *wl, num_vds, hp.numLlcSlices, cores_per_vd);
-        hier->setTrafficSink(parEngine_.get());
-        // One metric slot per shard plus the main slot; the engine's
-        // token turns route records into their shard's slot and the
-        // coordinator folds them back at every quantum barrier.
-        obs::metricRegistry().setShards(pp.shards);
-    }
-
     Core::Params cp;
     cp.issueWidth =
         static_cast<unsigned>(cfg_.getU64("sys.issue_width", 4));
     for (unsigned c = 0; c < num_cores; ++c)
         cores.push_back(std::make_unique<Core>(
-            cp, c, *hier,
-            parEngine_ ? parEngine_->sourceFor(c) : *wl, *scheme_,
-            stats_));
-    if (parEngine_) {
-        std::vector<Core *> raw;
-        for (auto &core : cores)
-            raw.push_back(core.get());
-        parEngine_->start(raw);
-    }
+            cp, c, *hier, *wl, *scheme_, stats_));
 
     // Invariant sweeps (NVO_AUDIT builds): the hierarchy's structural
     // audit plus whatever protocol sweeps the scheme registers. Light
@@ -280,8 +246,8 @@ System::build(const std::string &scheme_name)
                 cfg_.getU64("stats.series_max", 0)));
     }
 
-    // Adaptive policy engine (ROADMAP item 5). has()-gated like
-    // par.shards: runs without the key resolve no policy.* defaults,
+    // Adaptive policy engine (ROADMAP item 5). Probed with has()
+    // first: runs without the key resolve no policy.* defaults,
     // so their config dump and stats JSON stay byte-identical.
     if (cfg_.has("policy.enabled") &&
         cfg_.getBool("policy.enabled", false)) {
@@ -309,19 +275,8 @@ System::stepQuantum()
 {
     quantumEnd += quantum;
     obs::tracer().setNow(quantumEnd);
-    if (parEngine_) {
-        // Token round through the shards: same core-major order as
-        // the loop below, with idle workers pre-generating batches.
-        parEngine_->runQuantum(quantumEnd);
-        // Quantum barrier: fold shard-local metric slots into the
-        // main slot in shard order, so any later snapshot reads the
-        // same totals a sequential run would have produced.
-        if (obs::metricRegistry().armed())
-            obs::metricRegistry().mergeShards();
-    } else {
-        for (auto &core : cores)
-            core->runUntil(quantumEnd);
-    }
+    for (auto &core : cores)
+        core->runUntil(quantumEnd);
     scheme_->tick(quantumEnd);
     if (Cycle gs = scheme_->takeGlobalStall()) {
         for (auto &core : cores)
@@ -339,9 +294,7 @@ System::stepQuantum()
         exporter_.onEpochBoundary(scheme_->globalEpoch(), quantumEnd);
         // Policy evaluation runs after the sample/export, so the
         // recorded row reflects the epoch as it actually ran and the
-        // actuation applies from the next epoch on. Decisions read
-        // only coordinator-side simulated state (quiescent at the
-        // quantum barrier), keeping shard runs byte-identical.
+        // actuation applies from the next epoch on.
         if (policy_)
             policy_->onEpochBoundary(quantumEnd);
         epochsAtLastSample = scheme_->epochsCompleted();

@@ -26,7 +26,6 @@
 #include "mem/write_tracker.hh"
 #include "obs/metrics.hh"
 #include "obs/registry.hh"
-#include "par/engine.hh"
 #include "workload/workload.hh"
 
 namespace nvo
@@ -58,11 +57,6 @@ class System
      *   global tracer is reconfigured and cleared at build time)
      *   stats.series (sample the per-epoch metric series at every
      *   epoch boundary; default on)
-     *   par.shards (0 = sequential step loop, the determinism oracle;
-     *   N > 0 = shared-nothing shard engine with N shards, clamped to
-     *   the VD count), par.threads (workers; 0 = one per shard),
-     *   par.ring (traffic-ring capacity), par.pregen (idle-time
-     *   workload pre-generation for confinement-certified workloads)
      *   wl.* (workload sizing), nvo.* / mnm.* / picl.* / sw.*
      */
     System(const Config &cfg, const std::string &scheme_name,
@@ -106,9 +100,6 @@ class System
     /** Per-epoch metric time series sampled at epoch boundaries. */
     const obs::EpochSeries &epochSeries() const { return series_; }
 
-    /** The shard engine, or nullptr when running sequentially. */
-    par::ShardEngine *parEngine() { return parEngine_.get(); }
-
     /** The adaptive policy engine, or nullptr unless
      *  `policy.enabled=1` and the scheme is nvoverlay. */
     policy::PolicyEngine *policyEngine() { return policy_.get(); }
@@ -132,9 +123,6 @@ class System
     std::unique_ptr<MeshNoc> noc;
     std::unique_ptr<Hierarchy> hier;
     std::vector<std::unique_ptr<Core>> cores;
-    /** Declared after `cores`: destroyed first, while the cores it
-     *  feeds StagedSources to still exist but no longer run. */
-    std::unique_ptr<par::ShardEngine> parEngine_;
     Cycle quantum;
     Cycle quantumEnd = 0;
     bool finalized = false;

@@ -19,7 +19,6 @@
 #include <functional>
 #include <optional>
 
-#include "common/thread_safety.hh"
 #include "common/types.hh"
 #include "tenant/asid.hh"
 
@@ -77,14 +76,12 @@ class MasterTable
     std::uint64_t
     nodeBytes() const
     {
-        cap_.assertHeld();
         return nodeBytes_;
     }
 
     std::uint64_t
     mappedLines() const
     {
-        cap_.assertHeld();
         return mapped;
     }
 
@@ -92,7 +89,6 @@ class MasterTable
     std::uint64_t
     metaWrites() const
     {
-        cap_.assertHeld();
         return metaWriteCount;
     }
 
@@ -128,12 +124,10 @@ class MasterTable
      *  insert): a p99 above the 5-level floor means inserts are
      *  still growing the tree rather than filling existing leaves. */
     obs::HistMetric *hWalk_ = nullptr;
-    /** The master shard is per-OMC state (ROADMAP item 1). */
-    ShardCap cap_;
-    InnerNode *root NVO_GUARDED_BY(cap_);
-    std::uint64_t nodeBytes_ NVO_GUARDED_BY(cap_);
-    std::uint64_t mapped NVO_GUARDED_BY(cap_) = 0;
-    std::uint64_t metaWriteCount NVO_GUARDED_BY(cap_) = 0;
+    InnerNode *root;
+    std::uint64_t nodeBytes_;
+    std::uint64_t mapped = 0;
+    std::uint64_t metaWriteCount = 0;
 };
 
 } // namespace nvo

@@ -51,7 +51,7 @@ NVOverlayScheme::NVOverlayScheme(const Config &cfg, NvmModel &nvm_model,
     if (replEnabled)
         replParams = repl::Replicator::paramsFrom(cfg);
 
-    // has()-gated like par.shards: an untenanted config registers no
+    // Probed with has() first: an untenanted config registers no
     // tenant.* defaults, keeping the resolved-config dump (and so
     // every stats/bench JSON) byte-identical to the pre-tenant code.
     if (cfg.has("tenant.enabled")) {

@@ -46,7 +46,6 @@ MnmBackend::MnmBackend(const Params &params, NvmModel &nvm_model,
 unsigned
 MnmBackend::omcOf(Addr line_addr) const
 {
-    cap_.assertHeld();
     return static_cast<unsigned>((line_addr >> lineBytesLog2) %
                                  parts.size());
 }
@@ -116,7 +115,6 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
                           const LineData &content, Cycle now,
                           EvictReason why)
 {
-    cap_.assertHeld();
     unsigned oidx = omcOf(line_addr);
     Part &part = parts[oidx];
     const tenant::Asid asid = tenant::asidOf(line_addr);
@@ -250,7 +248,6 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
 EpochWide
 MnmBackend::ackedEpoch(Addr line_addr) const
 {
-    cap_.assertHeld();
     auto it = acked.find(line_addr);
     return it == acked.end() ? 0 : it->second;
 }
@@ -264,8 +261,7 @@ MnmBackend::masterInsert(Part &part, Addr line_addr, Addr nvm_addr,
     // undo lambdas replay state the ledger already accounted for.
     // The tenant::Key carries the ASID tag into the tree.
     const tenant::Key key = tenant::keyOf(line_addr);
-    auto replaced = part.master->insert(   // nvo-lint: allow(ledger-hook)
-        key, nvm_addr, e);
+    auto replaced = part.master->insert(key, nvm_addr, e);
     PersistDomain &domain = nvm.persist();
     if (domain.armed()) {
         MasterTable *mt = part.master.get();
@@ -273,14 +269,13 @@ MnmBackend::masterInsert(Part &part, Addr line_addr, Addr nvm_addr,
             domain.stage(
                 PersistDomain::Kind::Master,
                 [mt, key, old = *replaced] {
-                    mt->insert(   // nvo-lint: allow(ledger-hook)
-                        key, old.nvmAddr, old.epoch);
+                    mt->insert(key, old.nvmAddr, old.epoch);
                 });
         } else {
             domain.stage(
                 PersistDomain::Kind::Master,
                 [mt, key] {
-                    mt->erase(key);   // nvo-lint: allow(ledger-hook)
+                    mt->erase(key);
                 });
         }
     }
@@ -291,7 +286,6 @@ void
 MnmBackend::unref(unsigned oidx, Part &part, Addr line_addr,
                   const MasterTable::Entry &old_entry, Cycle now)
 {
-    cap_.assertHeld();
     // Whatever the replaced entry mapped is unreachable from the
     // master now — record the lifecycle exit even when the version's
     // epoch table is long gone (dropMergedTables).
@@ -317,7 +311,7 @@ MnmBackend::reclaimSubPage(Part &part, EpochTable::PageEntry &pe)
     // compaction paths handled the rest, so raw pool frees are safe.
     // The overlay page's tag credits the owning tenant's occupancy.
     const tenant::Asid asid = tenant::asidOf(pe.pageAddr);
-    part.pool->dropHeader(pe.subPage);   // nvo-lint: allow(ledger-hook)
+    part.pool->dropHeader(pe.subPage);
     part.pool->freeLines(pe.subPage, pe.capacity, asid);
     pe.reclaimed = true;
 }
@@ -399,7 +393,6 @@ MnmBackend::mergeUpTo(EpochWide from, EpochWide upto, Cycle now)
 void
 MnmBackend::reportMinVer(unsigned vd, EpochWide min_ver, Cycle now)
 {
-    cap_.assertHeld();
     nvo_assert(vd < minVers.size());
     minVers[vd] = std::max(minVers[vd], min_ver);
 
@@ -431,7 +424,6 @@ MnmBackend::reportMinVer(unsigned vd, EpochWide min_ver, Cycle now)
 void
 MnmBackend::drainBuffers(Cycle now)
 {
-    cap_.assertHeld();
     for (unsigned oidx = 0; oidx < parts.size(); ++oidx) {
         Part &part = parts[oidx];
         if (!part.buffer)
@@ -449,7 +441,6 @@ MnmBackend::drainBuffers(Cycle now)
 Cycle
 MnmBackend::finalize(Cycle now)
 {
-    cap_.assertHeld();
     drainBuffers(now);
     setBufferBypass(true);
     for (auto &part : parts)
@@ -465,7 +456,6 @@ MnmBackend::finalize(Cycle now)
 void
 MnmBackend::compact(Cycle now)
 {
-    cap_.assertHeld();
     for (unsigned oidx = 0; oidx < parts.size(); ++oidx) {
         Part &part = parts[oidx];
         // Oldest merged epoch still holding live versions.
@@ -580,7 +570,6 @@ MnmBackend::compact(Cycle now)
 void
 MnmBackend::dropVolatileTables()
 {
-    cap_.assertHeld();
     for (auto &part : parts)
         part.tables.clear();
 }
@@ -588,7 +577,6 @@ MnmBackend::dropVolatileTables()
 void
 MnmBackend::rebuildTables()
 {
-    cap_.assertHeld();
     for (auto &part : parts) {
         part.pool->forEachHeader(
             [&](Addr sub_page, const PagePool::SubPageHeader &hdr) {
@@ -612,7 +600,6 @@ MnmBackend::rebuildTables()
 void
 MnmBackend::crashReset()
 {
-    cap_.assertHeld();
     // Volatile lifecycle bookkeeping dies with the run; the post-
     // crash epoch/provenance space would alias pre-crash entries.
     NVO_LEDGER(reset());
@@ -643,7 +630,6 @@ MnmBackend::crashReset()
 bool
 MnmBackend::readMaster(Addr line_addr, LineData &out) const
 {
-    cap_.assertHeld();
     const Part &part = parts[omcOf(line_addr)];
     const auto *entry = part.master->lookup(line_addr);
     if (!entry)
@@ -657,7 +643,6 @@ MnmBackend::forEachMasterEntry(
     const std::function<void(Addr, const MasterTable::Entry &)> &fn)
     const
 {
-    cap_.assertHeld();
     for (const auto &part : parts)
         part.master->forEach(fn);
 }
@@ -666,7 +651,6 @@ bool
 MnmBackend::readSnapshot(Addr line_addr, EpochWide e, LineData &out,
                          EpochWide *found_epoch) const
 {
-    cap_.assertHeld();
     const Part &part = parts[omcOf(line_addr)];
     // Fall-through: largest E' <= e whose table maps the address.
     auto it = part.tables.upper_bound(e);
@@ -704,7 +688,6 @@ MnmBackend::updateStats()
 void
 MnmBackend::audit() const
 {
-    cap_.assertHeld();
     if (!audit::enabled)
         return;
 
@@ -811,21 +794,18 @@ MnmBackend::audit() const
 const MasterTable &
 MnmBackend::master(unsigned omc) const
 {
-    cap_.assertHeld();
     return *parts[omc].master;
 }
 
 PagePool &
 MnmBackend::pool(unsigned omc)
 {
-    cap_.assertHeld();
     return *parts[omc].pool;
 }
 
 EpochTable *
 MnmBackend::epochTable(unsigned omc, EpochWide e)
 {
-    cap_.assertHeld();
     auto it = parts[omc].tables.find(e);
     return it == parts[omc].tables.end() ? nullptr : it->second.get();
 }
@@ -833,7 +813,6 @@ MnmBackend::epochTable(unsigned omc, EpochWide e)
 std::uint64_t
 MnmBackend::masterNodeBytesTotal() const
 {
-    cap_.assertHeld();
     std::uint64_t total = 0;
     for (const auto &part : parts)
         total += part.master->nodeBytes();
@@ -843,7 +822,6 @@ MnmBackend::masterNodeBytesTotal() const
 std::uint64_t
 MnmBackend::masterMappedLinesTotal() const
 {
-    cap_.assertHeld();
     std::uint64_t total = 0;
     for (const auto &part : parts)
         total += part.master->mappedLines();
@@ -853,7 +831,6 @@ MnmBackend::masterMappedLinesTotal() const
 std::uint64_t
 MnmBackend::epochTableBytesTotal() const
 {
-    cap_.assertHeld();
     std::uint64_t total = 0;
     for (const auto &part : parts)
         for (const auto &kv : part.tables)
@@ -864,7 +841,6 @@ MnmBackend::epochTableBytesTotal() const
 std::uint64_t
 MnmBackend::poolPagesInUseTotal() const
 {
-    cap_.assertHeld();
     std::uint64_t total = 0;
     for (const auto &part : parts)
         total += part.pool->pagesInUse();
@@ -874,7 +850,6 @@ MnmBackend::poolPagesInUseTotal() const
 std::uint64_t
 MnmBackend::poolPagesTotal() const
 {
-    cap_.assertHeld();
     std::uint64_t total = 0;
     for (const auto &part : parts)
         total += part.pool->totalPages();
@@ -884,7 +859,6 @@ MnmBackend::poolPagesTotal() const
 std::uint64_t
 MnmBackend::bufferOccupancyTotal() const
 {
-    cap_.assertHeld();
     std::uint64_t total = 0;
     for (const auto &part : parts)
         if (part.buffer)
@@ -895,7 +869,6 @@ MnmBackend::bufferOccupancyTotal() const
 std::uint64_t
 MnmBackend::poolLinesOf(tenant::Asid asid) const
 {
-    cap_.assertHeld();
     std::uint64_t total = 0;
     for (const auto &part : parts)
         total += part.pool->linesInUse(asid);

@@ -27,7 +27,6 @@ OmcBuffer::setOf(Addr line_addr) const
 OmcBuffer::InsertResult
 OmcBuffer::insert(Addr line_addr, EpochWide epoch, unsigned cause)
 {
-    cap_.assertHeld();
     nvo_assert(lineAlign(line_addr) == line_addr);
     InsertResult result;
     Slot *base = &slots[static_cast<std::size_t>(setOf(line_addr)) *
@@ -81,7 +80,6 @@ void
 OmcBuffer::forEachPending(
     const std::function<void(const Pending &)> &fn) const
 {
-    cap_.assertHeld();
     for (const auto &s : slots)
         if (s.valid)
             fn(Pending{s.addr, s.epoch, s.cause});
@@ -90,7 +88,6 @@ OmcBuffer::forEachPending(
 void
 OmcBuffer::audit() const
 {
-    cap_.assertHeld();
     if (!audit::enabled)
         return;
     std::uint64_t valid = 0;
@@ -122,7 +119,6 @@ OmcBuffer::audit() const
 std::vector<OmcBuffer::Pending>
 OmcBuffer::drainAll()
 {
-    cap_.assertHeld();
     std::vector<Pending> out;
     for (auto &s : slots) {
         if (s.valid) {

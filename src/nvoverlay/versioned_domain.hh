@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "common/thread_safety.hh"
 #include "common/types.hh"
 
 namespace nvo
@@ -30,7 +29,6 @@ class VersionedDomain
     EpochWide
     epoch() const
     {
-        cap_.assertHeld();
         return cur;
     }
 
@@ -38,14 +36,12 @@ class VersionedDomain
     void
     noteStore()
     {
-        cap_.assertHeld();
         ++storesThisEpoch;
     }
 
     std::uint64_t
     storesInEpoch() const
     {
-        cap_.assertHeld();
         return storesThisEpoch;
     }
 
@@ -58,25 +54,20 @@ class VersionedDomain
     std::uint64_t
     advances() const
     {
-        cap_.assertHeld();
         return advanceCount;
     }
     std::uint64_t
     lamportAdvances() const
     {
-        cap_.assertHeld();
         return lamportCount;
     }
 
   private:
     unsigned vdId;
-    /** One VD = one future shard: the cur-epoch register and its
-     *  counters are the canonical per-VD sharded state. */
-    ShardCap cap_;
-    EpochWide cur NVO_GUARDED_BY(cap_);
-    std::uint64_t storesThisEpoch NVO_GUARDED_BY(cap_) = 0;
-    std::uint64_t advanceCount NVO_GUARDED_BY(cap_) = 0;
-    std::uint64_t lamportCount NVO_GUARDED_BY(cap_) = 0;
+    EpochWide cur;
+    std::uint64_t storesThisEpoch = 0;
+    std::uint64_t advanceCount = 0;
+    std::uint64_t lamportCount = 0;
 };
 
 } // namespace nvo

@@ -14,7 +14,6 @@ void
 EpochSeries::addProbe(std::string name,
                       std::function<std::uint64_t()> fn)
 {
-    cap_.assertHeld();
     nvo_assert(rows == 0, "probe added after sampling started");
     probes.push_back({std::move(name), std::move(fn)});
 }
@@ -32,7 +31,6 @@ EpochSeries::record(EpochWide epoch, Cycle now)
 void
 EpochSeries::sample(EpochWide epoch, Cycle now)
 {
-    cap_.assertHeld();
     // Decimation: only every decim_-th boundary records. The skip
     // counter keeps counting while rows are dropped, so the kept
     // rows stay evenly spaced in boundary index.
@@ -67,7 +65,6 @@ EpochSeries::sampleForced(EpochWide epoch, Cycle now)
     // The closing row must always land (it holds the finalize
     // flush), so it bypasses the decimation skip and never triggers
     // a halving pass; the series holds at most maxRows_ + 1 rows.
-    cap_.assertHeld();
     ++sampleCalls_;
     record(epoch, now);
 }
@@ -75,7 +72,6 @@ EpochSeries::sampleForced(EpochWide epoch, Cycle now)
 void
 EpochSeries::setMaxRows(std::size_t max_rows)
 {
-    cap_.assertHeld();
     nvo_assert(rows == 0, "row cap set after sampling started");
     // A cap below 2 could never halve into forward progress.
     nvo_assert(max_rows == 0 || max_rows >= 2,
@@ -86,14 +82,12 @@ EpochSeries::setMaxRows(std::size_t max_rows)
 std::uint64_t
 EpochSeries::decimation() const
 {
-    cap_.assertHeld();
     return decim_;
 }
 
 std::vector<std::string>
 EpochSeries::columns() const
 {
-    cap_.assertHeld();
     std::vector<std::string> cols = {"epoch", "cycle"};
     for (const auto &probe : probes)
         cols.push_back(probe.name);
@@ -103,7 +97,6 @@ EpochSeries::columns() const
 std::uint64_t
 EpochSeries::value(std::size_t row, std::size_t col) const
 {
-    cap_.assertHeld();
     std::size_t stride = probes.size() + 2;
     nvo_assert(row < rows && col < stride, "series index out of range");
     return data[row * stride + col];
@@ -112,7 +105,6 @@ EpochSeries::value(std::size_t row, std::size_t col) const
 void
 EpochSeries::writeCsv(std::ostream &os) const
 {
-    cap_.assertHeld();
     auto cols = columns();
     for (std::size_t c = 0; c < cols.size(); ++c)
         os << (c ? "," : "") << cols[c];
@@ -128,7 +120,6 @@ EpochSeries::writeCsv(std::ostream &os) const
 void
 EpochSeries::writeJson(JsonWriter &w) const
 {
-    cap_.assertHeld();
     w.beginObject();
     w.key("columns").beginArray();
     for (const auto &col : columns())

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/thread_safety.hh"
 #include "common/types.hh"
 
 namespace nvo
@@ -66,13 +65,11 @@ class EpochSeries
     std::size_t
     numProbes() const
     {
-        cap_.assertHeld();
         return probes.size();
     }
     std::size_t
     numSamples() const
     {
-        cap_.assertHeld();
         return rows;
     }
 
@@ -95,20 +92,17 @@ class EpochSeries
         std::function<std::uint64_t()> fn;
     };
 
-    /** Sampling is a cross-shard rendezvous point: once shards run in
-     *  parallel (ROADMAP item 1), probes read other shards' counters
-     *  and must quiesce behind this capability. */
-    void record(EpochWide epoch, Cycle now) NVO_REQUIRES(cap_);
+    /** Append one row: the epoch, the cycle, then every probe. */
+    void record(EpochWide epoch, Cycle now);
 
-    ShardCap cap_;
-    std::vector<Probe> probes NVO_GUARDED_BY(cap_);
+    std::vector<Probe> probes;
     /** Row-major samples, stride = numProbes() + 2. */
-    std::vector<std::uint64_t> data NVO_GUARDED_BY(cap_);
-    std::size_t rows NVO_GUARDED_BY(cap_) = 0;
+    std::vector<std::uint64_t> data;
+    std::size_t rows = 0;
     /** Row cap (0 = unbounded) and decimation state. */
-    std::size_t maxRows_ NVO_GUARDED_BY(cap_) = 0;
-    std::uint64_t decim_ NVO_GUARDED_BY(cap_) = 1;
-    std::uint64_t sampleCalls_ NVO_GUARDED_BY(cap_) = 0;
+    std::size_t maxRows_ = 0;
+    std::uint64_t decim_ = 1;
+    std::uint64_t sampleCalls_ = 0;
 };
 
 } // namespace obs

@@ -11,8 +11,6 @@ namespace nvo
 namespace obs
 {
 
-thread_local unsigned MetricRegistry::tlsSlot_ = 0;
-
 MetricRegistry &
 metricRegistry()
 {
@@ -28,13 +26,10 @@ MetricRegistry::configure(const Config &cfg)
     bool enabled = cfg.has("metrics.enabled") &&
                    cfg.getBool("metrics.enabled", false);
     armed_ = metricCompiled && enabled;
-    shards_ = 0;
-    for (Counter &c : counters_) {
-        c.slots.assign(1, 0);
-    }
-    for (HistMetric &h : hists_) {
-        h.slots.assign(1, Histogram());
-    }
+    for (Counter &c : counters_)
+        c.value = 0;
+    for (HistMetric &h : hists_)
+        h.hist.reset();
     gauges_.clear();
 }
 
@@ -44,55 +39,25 @@ MetricRegistry::setArmed(bool on)
     armed_ = on && metricCompiled;
 }
 
-void
-MetricRegistry::setShards(unsigned shards)
-{
-    shards_ = shards;
-    for (Counter &c : counters_)
-        c.slots.resize(shards + 1, 0);
-    for (HistMetric &h : hists_)
-        h.slots.resize(shards + 1);
-}
-
-void
-MetricRegistry::mergeShards()
-{
-    for (Counter &c : counters_) {
-        for (std::size_t s = 1; s < c.slots.size(); ++s) {
-            c.slots[0] += c.slots[s];
-            c.slots[s] = 0;
-        }
-    }
-    for (HistMetric &h : hists_) {
-        for (std::size_t s = 1; s < h.slots.size(); ++s) {
-            h.slots[0].merge(h.slots[s]);
-            h.slots[s].reset();
-        }
-    }
-}
-
 Counter *
-MetricRegistry::addCounter(const std::string &name, MetricScope scope)
+MetricRegistry::addCounter(const std::string &name)
 {
     auto it = counterByName_.find(name);
     if (it != counterByName_.end())
         return it->second;
-    counters_.push_back(Counter{name, scope,
-                                std::vector<std::uint64_t>(
-                                    shards_ + 1, 0)});
+    counters_.push_back(Counter{name});
     Counter *c = &counters_.back();
     counterByName_[name] = c;
     return c;
 }
 
 HistMetric *
-MetricRegistry::addHist(const std::string &name, MetricScope scope)
+MetricRegistry::addHist(const std::string &name)
 {
     auto it = histByName_.find(name);
     if (it != histByName_.end())
         return it->second;
-    hists_.push_back(HistMetric{name, scope,
-                                std::vector<Histogram>(shards_ + 1)});
+    hists_.push_back(HistMetric{name, Histogram()});
     HistMetric *h = &hists_.back();
     histByName_[name] = h;
     return h;
@@ -100,44 +65,15 @@ MetricRegistry::addHist(const std::string &name, MetricScope scope)
 
 void
 MetricRegistry::addGauge(const std::string &name,
-                         std::function<std::uint64_t()> fn,
-                         MetricScope scope)
+                         std::function<std::uint64_t()> fn)
 {
-    gauges_[name] = Gauge{scope, std::move(fn)};
-}
-
-std::uint64_t
-MetricRegistry::total(const Counter *c) const
-{
-    std::uint64_t t = 0;
-    for (std::uint64_t v : c->slots)
-        t += v;
-    return t;
-}
-
-Histogram
-MetricRegistry::merged(const HistMetric *h) const
-{
-    Histogram m;
-    for (const Histogram &s : h->slots)
-        m.merge(s);
-    return m;
+    gauges_[name] = std::move(fn);
 }
 
 std::size_t
-MetricRegistry::simRegistered() const
+MetricRegistry::registered() const
 {
-    std::size_t n = 0;
-    for (const Counter &c : counters_)
-        if (c.scope == MetricScope::Sim)
-            ++n;
-    for (const HistMetric &h : hists_)
-        if (h.scope == MetricScope::Sim)
-            ++n;
-    for (const auto &kv : gauges_)
-        if (kv.second.scope == MetricScope::Sim)
-            ++n;
-    return n;
+    return counters_.size() + hists_.size() + gauges_.size();
 }
 
 namespace
@@ -171,24 +107,20 @@ MetricRegistry::writeJson(JsonWriter &w) const
 {
     w.beginObject();
     w.kv("enabled", armed_);
-    w.kv("registered",
-         static_cast<std::uint64_t>(simRegistered()));
+    w.kv("registered", static_cast<std::uint64_t>(registered()));
     w.key("counters").beginObject();
     for (const auto &kv : counterByName_)
-        if (kv.second->scope == MetricScope::Sim)
-            w.kv(kv.first, total(kv.second));
+        w.kv(kv.first, kv.second->value);
     w.endObject();
     w.key("gauges").beginObject();
     for (const auto &kv : gauges_)
-        if (kv.second.scope == MetricScope::Sim && kv.second.fn)
-            w.kv(kv.first, kv.second.fn());
+        if (kv.second)
+            w.kv(kv.first, kv.second());
     w.endObject();
     w.key("hists").beginObject();
     for (const auto &kv : histByName_) {
-        if (kv.second->scope != MetricScope::Sim)
-            continue;
         w.key(kv.first);
-        writeHistSummary(w, merged(kv.second), true);
+        writeHistSummary(w, kv.second->hist, true);
     }
     w.endObject();
     w.endObject();
@@ -218,17 +150,17 @@ MetricRegistry::writePrometheus(std::ostream &os) const
     for (const auto &kv : counterByName_) {
         std::string n = promName(kv.first);
         os << "# TYPE " << n << "_total counter\n";
-        os << n << "_total " << total(kv.second) << "\n";
+        os << n << "_total " << kv.second->value << "\n";
     }
     for (const auto &kv : gauges_) {
-        if (!kv.second.fn)
+        if (!kv.second)
             continue;
         std::string n = promName(kv.first);
         os << "# TYPE " << n << " gauge\n";
-        os << n << " " << kv.second.fn() << "\n";
+        os << n << " " << kv.second() << "\n";
     }
     for (const auto &kv : histByName_) {
-        Histogram m = merged(kv.second);
+        const Histogram &m = kv.second->hist;
         std::string n = promName(kv.first);
         os << "# TYPE " << n << " summary\n";
         os << n << "{quantile=\"0.5\"} " << m.percentile(50.0) << "\n";
@@ -253,17 +185,17 @@ MetricRegistry::writeJsonlLine(std::ostream &os, EpochWide epoch,
     w.kv("cycle", now);
     w.key("counters").beginObject();
     for (const auto &kv : counterByName_)
-        w.kv(kv.first, total(kv.second));
+        w.kv(kv.first, kv.second->value);
     w.endObject();
     w.key("gauges").beginObject();
     for (const auto &kv : gauges_)
-        if (kv.second.fn)
-            w.kv(kv.first, kv.second.fn());
+        if (kv.second)
+            w.kv(kv.first, kv.second());
     w.endObject();
     w.key("hists").beginObject();
     for (const auto &kv : histByName_) {
         w.key(kv.first);
-        writeHistSummary(w, merged(kv.second), false);
+        writeHistSummary(w, kv.second->hist, false);
     }
     w.endObject();
     w.endObject();

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unified metric registry: named counters, gauges, and histograms
- * with static registration sites and deterministic shard merging.
+ * with static registration sites.
  *
  * Components register their metrics once (typically in their
  * constructor, which runs during System::build after the registry is
@@ -12,21 +12,9 @@
  * when compiled in but disarmed (`metrics.enabled` unset — the
  * default), and a couple of stores when armed.
  *
- * Sharding. Under the par engine every metric holds one slot per
- * shard plus a main slot. A worker's token turn runs inside a
- * MetricSlotScope that routes its records into the shard's own slot
- * (the token protocol's release/acquire hand-offs order those writes
- * exactly as they order RunStats mutations), and the coordinator
- * folds the shard slots into the main slot at every quantum barrier
- * — in shard order, so the merged values are byte-identical to a
- * sequential (`par.shards=0`) run of the same workload.
- *
- * Scope. Sim-scope metrics measure simulated behaviour and must be
- * deterministic; they are the only ones embedded in stats JSON (the
- * `metrics` section `nvo_analyze` validates). Host-scope metrics
- * measure the host-side engine itself (ring drains, token-wait
- * spins) and legitimately vary run to run, so they appear only in
- * the Prometheus/JSONL exports.
+ * Every metric measures simulated behaviour and is deterministic;
+ * the stats JSON embeds them all (the `metrics` section
+ * `nvo_analyze` validates).
  *
  * Registrations persist for the life of the process (handles stay
  * valid across System rebuilds); configure() zeroes every value and
@@ -42,7 +30,6 @@
 #include <iosfwd>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "obs/hist.hh"
@@ -64,37 +51,20 @@ constexpr bool metricCompiled = true;
 constexpr bool metricCompiled = false;
 #endif
 
-/** What a metric measures — see the file comment. */
-enum class MetricScope : unsigned char
-{
-    Sim,    ///< simulated behaviour; deterministic; in stats JSON
-    Host,   ///< host engine behaviour; exports only
-};
-
-/** A monotonically increasing count, one slot per shard. Record
- *  through MetricRegistry::inc (via NVO_METRIC); never construct one
- *  directly outside the registry (the `metric-registry` lint rule). */
+/** A monotonically increasing count. Record through
+ *  MetricRegistry::inc (via NVO_METRIC); never construct one directly
+ *  outside the registry (the `metric-registry` lint rule). */
 struct Counter
 {
     std::string name;
-    MetricScope scope = MetricScope::Sim;
-    std::vector<std::uint64_t> slots;
+    std::uint64_t value = 0;
 };
 
-/** A distribution (obs/hist.hh), one slot per shard. */
+/** A distribution (obs/hist.hh). */
 struct HistMetric
 {
     std::string name;
-    MetricScope scope = MetricScope::Sim;
-    std::vector<Histogram> slots;
-};
-
-/** A value polled at snapshot time on the coordinator thread; no
- *  merge semantics needed. Re-registered every build. */
-struct Gauge
-{
-    MetricScope scope = MetricScope::Sim;
-    std::function<std::uint64_t()> fn;
+    Histogram hist;
 };
 
 class MetricRegistry
@@ -106,127 +76,65 @@ class MetricRegistry
     /**
      * (Re)configure from @p cfg: `metrics.enabled` (default off; only
      * probed when explicitly set, so untouched configs dump
-     * byte-identically). Zeroes every counter and histogram, drops
-     * all gauges, and resets the shard count to zero. Runs at the
-     * top of System::build, before components register.
+     * byte-identically). Zeroes every counter and histogram and
+     * drops all gauges. Runs at the top of System::build, before
+     * components register.
      */
     void configure(const Config &cfg);
 
     /** Direct runtime control (tests, replica quiesce). */
     void setArmed(bool on);
 
-    /** Size every metric for @p shards shard slots plus the main
-     *  slot. 0 = sequential (main slot only). */
-    void setShards(unsigned shards);
-
-    /** Fold shard slots 1..N into the main slot, in shard order.
-     *  Coordinator-only, at quantum barriers. */
-    void mergeShards();
-
     // --- Registration (build time; handles live forever) -----------
 
     /** Register (or look up) a counter. A second registration under
      *  the same name returns the existing handle. */
-    Counter *addCounter(const std::string &name,
-                        MetricScope scope = MetricScope::Sim);
+    Counter *addCounter(const std::string &name);
 
     /** Register (or look up) a histogram. */
-    HistMetric *addHist(const std::string &name,
-                        MetricScope scope = MetricScope::Sim);
+    HistMetric *addHist(const std::string &name);
 
-    /** Register a polled gauge; re-registering replaces the closure
-     *  (gauges capture per-build state). */
+    /** Register a gauge polled at snapshot time; re-registering
+     *  replaces the closure (gauges capture per-build state). */
     void addGauge(const std::string &name,
-                  std::function<std::uint64_t()> fn,
-                  MetricScope scope = MetricScope::Sim);
+                  std::function<std::uint64_t()> fn);
 
     // --- Hot path (call through NVO_METRIC) ------------------------
 
-    void
-    inc(Counter *c, std::uint64_t d = 1)
-    {
-        c->slots[slotOf(c->slots.size())] += d;
-    }
+    void inc(Counter *c, std::uint64_t d = 1) { c->value += d; }
 
-    void
-    record(HistMetric *h, std::uint64_t v)
-    {
-        h->slots[slotOf(h->slots.size())].record(v);
-    }
+    void record(HistMetric *h, std::uint64_t v) { h->hist.record(v); }
 
     // --- Snapshots --------------------------------------------------
 
-    /** Current total of @p c across every slot (slot order, so the
-     *  reading is deterministic whether or not a merge ran). */
-    std::uint64_t total(const Counter *c) const;
+    /** Number of metrics (counters + gauges + histograms) currently
+     *  registered — the `registered` field nvo_analyze checks the
+     *  snapshot against. */
+    std::size_t registered() const;
 
-    /** All slots of @p h merged into one view. */
-    Histogram merged(const HistMetric *h) const;
-
-    /** Number of Sim-scope metrics (counters + gauges + histograms)
-     *  currently registered — the `registered` field nvo_analyze
-     *  checks the snapshot against. */
-    std::size_t simRegistered() const;
-
-    /** Stats-JSON `metrics` section: Sim scope only. */
+    /** Stats-JSON `metrics` section. */
     void writeJson(JsonWriter &w) const;
 
-    /** Prometheus text exposition (all scopes; histograms as
-     *  summaries with p50/p90/p99 quantiles). */
+    /** Prometheus text exposition (histograms as summaries with
+     *  p50/p90/p99 quantiles). */
     void writePrometheus(std::ostream &os) const;
 
-    /** One `nvo-metrics-v1` JSONL snapshot line (all scopes). */
+    /** One `nvo-metrics-v1` JSONL snapshot line. */
     void writeJsonlLine(std::ostream &os, EpochWide epoch,
                         Cycle now) const;
 
   private:
-    friend class MetricSlotScope;
-
-    /** Worker-local slot, clamped so a metric registered after
-     *  setShards (or a stray thread) still lands somewhere valid. */
-    static unsigned
-    slotOf(std::size_t have)
-    {
-        unsigned s = tlsSlot_;
-        return s < have ? s : 0;
-    }
-
-    static thread_local unsigned tlsSlot_;
-
     bool armed_ = false;
-    unsigned shards_ = 0;
     /** Deques: handle pointers must survive later registrations. */
     std::deque<Counter> counters_;
     std::deque<HistMetric> hists_;
     std::map<std::string, Counter *> counterByName_;
     std::map<std::string, HistMetric *> histByName_;
-    std::map<std::string, Gauge> gauges_;
+    std::map<std::string, std::function<std::uint64_t()>> gauges_;
 };
 
 /** The process-wide registry. */
 MetricRegistry &metricRegistry();
-
-/**
- * RAII: route this thread's metric records into shard slot
- * @p shard + 1 for the scope's lifetime. The par engine opens one
- * inside each token turn (engine.cc runShard); everything outside a
- * scope records into the main slot.
- */
-class MetricSlotScope
-{
-  public:
-    explicit MetricSlotScope(unsigned shard)
-        : prev_(MetricRegistry::tlsSlot_)
-    {
-        MetricRegistry::tlsSlot_ = shard + 1;
-    }
-    ~MetricSlotScope() { MetricRegistry::tlsSlot_ = prev_; }
-    MetricSlotScope(const MetricSlotScope &) = delete;
-    MetricSlotScope &operator=(const MetricSlotScope &) = delete;
-
-  private:
-    unsigned prev_;
-};
 
 /**
  * Periodic exporter: rewrites a Prometheus scrape file and appends

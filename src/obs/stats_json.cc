@@ -135,7 +135,7 @@ writeStatsJson(std::ostream &os, const std::string &scheme,
     writeRunStats(w, stats);
     w.key("ledger");
     obs::ledger().writeJson(w);
-    // Sim-scope registry snapshot: only on armed runs, so every
+    // Registry snapshot: only on armed runs, so every
     // pre-metrics stats file (and baseline) is byte-identical.
     if (obs::metricRegistry().armed()) {
         w.key("metrics");

@@ -67,8 +67,6 @@ constexpr std::array<EvInfo, numEvents> evTable = {{
     {"repl_cursor_persist", Cat::Repl, "cursor", "generation",
      false},
     {"repl_resume", Cat::Repl, "cursor", "rec_epoch", false},
-    {"par_token", Cat::Par, "seq", "poisoned", false},
-    {"par_xdrain", Cat::Par, "msgs", "high_water", false},
     {"policy_decision", Cat::Policy, "controller", "output", false},
     {"policy_actuate", Cat::Policy, "knob", "value", false},
 }};
@@ -98,7 +96,6 @@ toString(Cat c)
       case Cat::Fault: return "fault";
       case Cat::Ledger: return "ledger";
       case Cat::Repl: return "repl";
-      case Cat::Par: return "par";
       case Cat::Policy: return "policy";
       default: return "?";
     }
@@ -140,8 +137,6 @@ trackName(std::uint32_t track)
         return "nvm";
     if (track == trackRepl)
         return "repl";
-    if (track >= 512)
-        return "shard" + std::to_string(track - 512);
     if (track >= 256)
         return "omc" + std::to_string(track - 256);
     if (track >= 16)

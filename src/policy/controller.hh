@@ -5,7 +5,7 @@
  * Every controller is a pure function of its own state and the
  * measured input — no clocks, no floating point, no randomness — so a
  * controller stepped with the same sequence of measurements produces
- * the same sequence of outputs on any host and under any shard count.
+ * the same sequence of outputs on any host.
  * Gains are expressed as integer numerators over a fixed power-of-two
  * denominator (`kGainDen`), which keeps the arithmetic exact and the
  * step responses hand-computable in unit tests (see

@@ -22,9 +22,9 @@
  *    the aggregate falls back through the release threshold.
  *
  * Every decision is a pure function of sampled simulated state, so
- * runs are byte-identical across `par.shards` settings; with
- * `policy.enabled` unset nothing here is constructed and every
- * existing output stays byte-unchanged.
+ * runs are byte-identical from host to host; with `policy.enabled`
+ * unset nothing here is constructed and every existing output stays
+ * byte-unchanged.
  */
 
 #ifndef NVO_POLICY_ENGINE_HH

@@ -64,8 +64,8 @@ Replicator::Replicator(const Params &params, MnmBackend &backend_ref,
     backend.setReplSink(shipper_.get());
 
     // Live replication health, polled at snapshot time. Both values
-    // are simulated-link state (seeded RNG), so they stay Sim scope
-    // and deterministic per seed.
+    // are simulated-link state (seeded RNG), so they are
+    // deterministic per seed.
     obs::metricRegistry().addGauge("repl.retransmits", [this] {
         return link_->stats().retries;
     });

@@ -24,7 +24,6 @@ DeltaShipper::sendFrame(FrameType type, EpochWide epoch,
                         std::uint64_t arg, const LineData *payload,
                         Cycle now)
 {
-    cap_.assertHeld();
     Frame f;
     f.type = type;
     f.generation = generation_;
@@ -99,7 +98,6 @@ void
 DeltaShipper::onEpochsRecoverable(EpochWide from, EpochWide upto,
                                   Cycle now)
 {
-    cap_.assertHeld();
     for (EpochWide e = from + 1; e <= upto; ++e)
         shipEpoch(e, now);
 }
@@ -108,7 +106,6 @@ void
 DeltaShipper::onLateVersion(Addr line_addr, EpochWide oid,
                             const LineData &content, Cycle now)
 {
-    cap_.assertHeld();
     sendFrame(FrameType::LateDelta, oid, line_addr, &content, now);
     ++stats.repl.lateShipped;
 }
@@ -116,7 +113,6 @@ DeltaShipper::onLateVersion(Addr line_addr, EpochWide oid,
 void
 DeltaShipper::onFrameAcked(std::uint64_t frame_id, Cycle now)
 {
-    cap_.assertHeld();
     auto it = frameEpoch.find(frame_id);
     if (it != frameEpoch.end()) {
         EpochWide e = it->second;
@@ -169,7 +165,6 @@ DeltaShipper::persistCursor(Cycle now)
 void
 DeltaShipper::onCrash()
 {
-    cap_.assertHeld();
     outstanding.clear();
     frameEpoch.clear();
     cursor_ = durableCursor_;
@@ -179,7 +174,6 @@ DeltaShipper::onCrash()
 std::uint64_t
 DeltaShipper::resume(Cycle now)
 {
-    cap_.assertHeld();
     NVO_FAULT_POINT("repl.resume");
     ++generation_;
     onCrash();

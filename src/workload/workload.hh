@@ -50,17 +50,6 @@ class WorkloadBase : public RefSource
     /** Per-thread operation generator. */
     virtual void genOp(unsigned thread, std::vector<MemRef> &out) = 0;
 
-    /**
-     * True when genOp(thread, ...) touches nothing but that thread's
-     * own state (its Rng, cursor, arena) and constant members — the
-     * confinement contract that lets the shard engine pre-generate a
-     * thread's batches concurrently with other shards' execution
-     * (src/par/pregen.hh). Workloads whose generator reads or writes
-     * shared host structures (the B+Tree nodes, a hash set, ...) must
-     * leave this false: their generation order is globally visible.
-     */
-    virtual bool independentGen() const { return false; }
-
     std::uint64_t opsCompleted() const;
     const Params &params() const { return p; }
     SimHeap &heapRef() { return heap; }

@@ -160,8 +160,6 @@ class LabyrinthWorkload : public WorkloadBase
     LabyrinthWorkload(const Params &params, const Config &cfg);
     const char *name() const override { return "labyrinth"; }
     void genOp(unsigned thread, std::vector<MemRef> &out) override;
-    /** Routes derive from rng[thread] + constant grid geometry. */
-    bool independentGen() const override { return true; }
 
   private:
     Addr cellAddr(std::uint64_t x, std::uint64_t y) const;
@@ -244,8 +242,6 @@ class KmeansWorkload : public WorkloadBase
     KmeansWorkload(const Params &params, const Config &cfg);
     const char *name() const override { return "kmeans"; }
     void genOp(unsigned thread, std::vector<MemRef> &out) override;
-    /** Touches only cursor[thread], rng[thread], const bases. */
-    bool independentGen() const override { return true; }
 
   private:
     std::uint64_t numPoints, numClusters, chunk;
@@ -319,8 +315,6 @@ class Ssca2Workload : public WorkloadBase
     Ssca2Workload(const Params &params, const Config &cfg);
     const char *name() const override { return "ssca2"; }
     void genOp(unsigned thread, std::vector<MemRef> &out) override;
-    /** CSR arrays are immutable after construction. */
-    bool independentGen() const override { return true; }
 
   private:
     std::uint64_t numNodes, avgDegree;

@@ -6,5 +6,5 @@
 void
 stageVersion(Partition &part, Addr line, NvmModel &nvm, EpochWide e)
 {
-    part.master->insert(line, nvm, e);  // nvo-lint: allow(ledger-hook)
+    part.master->insert(line, nvm, e);
 }

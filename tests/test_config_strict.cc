@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/log.hh"
@@ -84,17 +86,17 @@ TEST(ConfigStrict, FullRunConsumesEveryDefaultKey)
     cfg.set("wl.ops", std::uint64_t(200));
     cfg.set("wl.hashtable.prefill", std::uint64_t(64));
     cfg.set("nvo.typo_key", std::uint64_t(1));   // nothing reads this
+    // A removed knob: old scripts that still pass it must be told.
+    cfg.set("par.shards", std::uint64_t(4));
     System sys(cfg, "nvoverlay", "hashtable");
     sys.run();
     auto unread = sys.config().unreadKeys();
-    // The seeded typo is flagged...
-    EXPECT_NE(std::find(unread.begin(), unread.end(),
-                        "nvo.typo_key"),
-              unread.end());
-    // ...and it is the only unread key: every legitimate knob the
-    // test set was consumed by the harness or the scheme.
-    EXPECT_EQ(unread.size(), 1u)
-        << "unexpected unread keys beyond the seeded typo";
+    std::sort(unread.begin(), unread.end());
+    // The two seeded keys are flagged, and they are the only unread
+    // keys: every legitimate knob the test set was consumed by the
+    // harness or the scheme.
+    EXPECT_EQ(unread,
+              (std::vector<std::string>{"nvo.typo_key", "par.shards"}));
 }
 
 } // namespace

@@ -1,189 +1,61 @@
 /**
  * @file
- * Shard execution engine (src/par): ring semantics, shard topology,
- * and — the load-bearing contract — bit-identical results against
- * the sequential engine. The determinism tests export the full stats
- * JSON of a run under par.shards ∈ {1, 2, 8} and require it to be
- * byte-identical to the sequential engine's for the same seed, on a
- * pregen-eligible workload (kmeans) and a generation-serial one
- * (btree), across two seeds. Engine-side metrics are checked
- * separately (they live outside RunStats by design).
+ * Process fan-out (src/par/procpool): forkMap returns the same
+ * payloads in task order whatever the job count, runs child_init
+ * once in each forked worker and never inline, survives payloads
+ * larger than a pipe buffer, and treats a worker that dies before
+ * delivering its payloads as fatal.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <regex>
-#include <sstream>
-#include <stdexcept>
-#include <thread>
+#include <unistd.h>
+
+#include <string>
 #include <vector>
 
-#include "harness/experiment.hh"
-#include "harness/system.hh"
-#include "obs/stats_json.hh"
-#include "par/engine.hh"
 #include "par/procpool.hh"
-#include "par/ring.hh"
-#include "par/shard.hh"
-#include "workload/workload.hh"
 
 namespace nvo
 {
 namespace
 {
 
-// --- SPSC ring ------------------------------------------------------
-
-TEST(SpscRing, PushPopFifoOrder)
-{
-    par::SpscRing<int> ring(8);
-    EXPECT_TRUE(ring.empty());
-    EXPECT_EQ(ring.capacity(), 8u);
-    for (int i = 0; i < 5; ++i)
-        EXPECT_TRUE(ring.tryPush(i));
-    EXPECT_EQ(ring.size(), 5u);
-    int v = -1;
-    for (int i = 0; i < 5; ++i) {
-        EXPECT_TRUE(ring.tryPop(v));
-        EXPECT_EQ(v, i);
-    }
-    EXPECT_FALSE(ring.tryPop(v));
-    EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo)
-{
-    par::SpscRing<int> ring(5);
-    EXPECT_EQ(ring.capacity(), 8u);
-}
-
-TEST(SpscRing, FullRingRejectsAndCounts)
-{
-    par::SpscRing<int> ring(4);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(ring.tryPush(i));
-    EXPECT_FALSE(ring.tryPush(99));
-    EXPECT_FALSE(ring.tryPush(99));
-    EXPECT_EQ(ring.fullRejects(), 2u);
-    EXPECT_EQ(ring.highWater(), 4u);
-    int v = -1;
-    EXPECT_TRUE(ring.tryPop(v));
-    EXPECT_EQ(v, 0);
-    EXPECT_TRUE(ring.tryPush(42));
-    EXPECT_EQ(ring.size(), 4u);
-}
-
-TEST(SpscRing, TwoThreadStressPreservesSequence)
-{
-    // Real producer/consumer pair: every pushed value arrives exactly
-    // once, in order, across the release/acquire pair. Run under the
-    // TSan matrix entry this is also a data-race check on the ring.
-    constexpr std::uint64_t count = 20000;
-    par::SpscRing<std::uint64_t> ring(64);
-    std::atomic<bool> fail{false};
-
-    std::thread producer([&] {
-        for (std::uint64_t i = 0; i < count;) {
-            if (ring.tryPush(i))
-                ++i;
-            else
-                std::this_thread::yield();
-        }
-    });
-    std::uint64_t expect = 0;
-    while (expect < count) {
-        std::uint64_t v = 0;
-        if (!ring.tryPop(v)) {
-            std::this_thread::yield();
-            continue;
-        }
-        if (v != expect) {
-            fail = true;
-            break;
-        }
-        ++expect;
-    }
-    producer.join();
-    EXPECT_FALSE(fail.load());
-    EXPECT_EQ(expect, count);
-    EXPECT_LE(ring.highWater(), ring.capacity());
-}
-
-// --- Shard topology -------------------------------------------------
-
-TEST(ShardMap, ContiguousBalancedPartition)
-{
-    for (unsigned vds : {1u, 2u, 4u, 8u, 12u}) {
-        for (unsigned shards = 1; shards <= vds; ++shards) {
-            par::ShardMap map(shards, vds, 4, 2);
-            // Every VD belongs to exactly the shard whose block
-            // contains it, blocks are contiguous and ascending, and
-            // sizes differ by at most one.
-            unsigned prev = 0;
-            std::vector<unsigned> sizes(shards, 0);
-            for (unsigned vd = 0; vd < vds; ++vd) {
-                unsigned s = map.shardOfVd(vd);
-                ASSERT_LT(s, shards);
-                ASSERT_GE(s, prev) << "non-monotone shard blocks";
-                ASSERT_GE(vd, map.firstVd(s));
-                if (s + 1 < shards) {
-                    ASSERT_LT(vd, map.firstVd(s + 1));
-                }
-                ++sizes[s];
-                prev = s;
-            }
-            unsigned lo = vds, hi = 0;
-            for (unsigned n : sizes) {
-                ASSERT_GE(n, 1u) << "empty shard";
-                lo = std::min(lo, n);
-                hi = std::max(hi, n);
-            }
-            EXPECT_LE(hi - lo, 1u);
-        }
-    }
-}
-
-TEST(ShardMap, CoresOfWalksSequentialOrder)
-{
-    par::ShardMap map(3, 8, 4, 2);
-    std::vector<unsigned> walked;
-    for (unsigned s = 0; s < map.numShards(); ++s)
-        for (unsigned c : map.coresOf(s))
-            walked.push_back(c);
-    ASSERT_EQ(walked.size(), map.numCores());
-    for (unsigned c = 0; c < map.numCores(); ++c) {
-        EXPECT_EQ(walked[c], c)
-            << "shard walk must reproduce core-major order";
-        EXPECT_EQ(map.shardOfCore(c), map.shardOfVd(c / 2));
-    }
-}
-
-TEST(ShardMap, DomainIdsCoverVdsAndSlices)
-{
-    par::ShardMap map(4, 8, 4, 2);
-    for (unsigned vd = 0; vd < 8; ++vd)
-        EXPECT_EQ(map.shardOfDomain(map.domainOfVd(vd)),
-                  map.shardOfVd(vd));
-    for (unsigned sl = 0; sl < 4; ++sl) {
-        unsigned s = map.shardOfDomain(map.domainOfSlice(sl));
-        EXPECT_EQ(s, map.shardOfSlice(sl));
-        EXPECT_LT(s, 4u);
-    }
-}
-
-// --- forkMap --------------------------------------------------------
+/** child_init record of the current process. A forked worker starts
+ *  from the parent's copy, so each worker reports only its own. */
+unsigned initCalls = 0;
+unsigned initWorker = ~0u;
 
 TEST(ForkMap, InlineAndForkedAgree)
 {
     auto fn = [](unsigned t) {
         return "task" + std::to_string(t * t);
     };
-    auto inline_res = par::forkMap(7, 1, fn);
-    auto forked_res = par::forkMap(7, 3, fn);
-    EXPECT_EQ(inline_res, forked_res);
+    auto init = [](unsigned w) {
+        ++initCalls;
+        initWorker = w;
+    };
+    // Each payload carries "|calls,worker" of the process that ran it.
+    auto traced = [&fn](unsigned t) {
+        return fn(t) + "|" + std::to_string(initCalls) + "," +
+               std::to_string(initWorker);
+    };
+    const unsigned jobs = 3;
+    auto inline_res = par::forkMap(7, 1, traced, init);
+    auto forked_res = par::forkMap(7, jobs, traced, init);
+    ASSERT_EQ(inline_res.size(), 7u);
     ASSERT_EQ(forked_res.size(), 7u);
-    EXPECT_EQ(forked_res[3], "task9");
+    for (unsigned t = 0; t < 7; ++t) {
+        EXPECT_EQ(inline_res[t],
+                  fn(t) + "|0," + std::to_string(~0u))
+            << "child_init ran on the inline path";
+        EXPECT_EQ(forked_res[t],
+                  fn(t) + "|1," + std::to_string(t % jobs))
+            << "task " << t;
+    }
+    EXPECT_EQ(forked_res[3].substr(0, 5), "task9");
+    // The parent itself never runs child_init.
+    EXPECT_EQ(initCalls, 0u);
 }
 
 TEST(ForkMap, LargePayloadsSurviveThePipe)
@@ -199,217 +71,17 @@ TEST(ForkMap, LargePayloadsSurviveThePipe)
     }
 }
 
-// --- Determinism vs the sequential oracle ---------------------------
-
-Config
-smallConfig(std::uint64_t seed)
+TEST(ForkMapDeath, WorkerExitWithoutPayloadIsFatal)
 {
-    Config cfg = defaultConfig();
-    cfg.set("sys.cores", std::uint64_t(16));
-    cfg.set("sys.cores_per_vd", std::uint64_t(2));
-    cfg.set("l1.kb", std::uint64_t(4));
-    cfg.set("l2.kb", std::uint64_t(16));
-    cfg.set("llc.mb", std::uint64_t(1));
-    cfg.set("wl.ops", std::uint64_t(150));
-    cfg.set("epoch.stores_global", std::uint64_t(60000));
-    cfg.set("wl.seed", seed);
-    return cfg;
-}
-
-/**
- * Run to completion and export the stats JSON with the engine-choice
- * artifacts scrubbed: the par.* config keys (present only when the
- * engine is selected), the host wall-clock extras, and host_seconds
- * (pinned to 0). Everything else — every counter, every series row,
- * the ledger, the config — must be byte-identical across engines.
- */
-std::string
-normalizedStatsJson(const Config &cfg, const std::string &workload)
-{
-    System sys(cfg, "nvoverlay", workload);
-    sys.run();
-    std::ostringstream os;
-    obs::writeStatsJson(os, "nvoverlay", workload, sys.config(),
-                        sys.stats(), &sys.epochSeries(), 0.0);
-    std::string text = os.str();
-    text = std::regex_replace(
-        text, std::regex("\"par\\.[a-z_]+\":\"[^\"]*\","), "");
-    text = std::regex_replace(
-        text, std::regex(",\"host_(run|finalize)_us\":[0-9]+"), "");
-    return text;
-}
-
-class ParDeterminism
-    : public ::testing::TestWithParam<
-          std::tuple<const char *, std::uint64_t>>
-{
-};
-
-TEST_P(ParDeterminism, StatsJsonByteIdenticalToSequential)
-{
-    const char *workload = std::get<0>(GetParam());
-    std::uint64_t seed = std::get<1>(GetParam());
-    std::string oracle =
-        normalizedStatsJson(smallConfig(seed), workload);
-    ASSERT_FALSE(oracle.empty());
-    for (std::uint64_t shards : {1, 2, 8}) {
-        Config cfg = smallConfig(seed);
-        cfg.set("par.shards", shards);
-        std::string got = normalizedStatsJson(cfg, workload);
-        EXPECT_EQ(got, oracle)
-            << workload << " seed=" << seed
-            << " diverged at par.shards=" << shards;
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    WorkloadsAndSeeds, ParDeterminism,
-    ::testing::Values(
-        std::make_tuple("kmeans", std::uint64_t(1)),
-        std::make_tuple("kmeans", std::uint64_t(7)),
-        std::make_tuple("btree", std::uint64_t(1)),
-        std::make_tuple("btree", std::uint64_t(7))));
-
-TEST(ParEngineSystem, RunUntilMatchesSequentialMidRun)
-{
-    // The crash path stops mid-run via runUntil; the engine must be
-    // cycle-exact there too, not only at completion.
-    Config seq_cfg = smallConfig(3);
-    System seq(seq_cfg, "nvoverlay", "kmeans");
-    bool seq_done = seq.runUntil(400000);
-
-    Config par_cfg = smallConfig(3);
-    par_cfg.set("par.shards", std::uint64_t(4));
-    System par_sys(par_cfg, "nvoverlay", "kmeans");
-    bool par_done = par_sys.runUntil(400000);
-
-    EXPECT_EQ(seq_done, par_done);
-    EXPECT_EQ(seq.stats().cycles, par_sys.stats().cycles);
-    EXPECT_EQ(seq.stats().stores, par_sys.stats().stores);
-    EXPECT_EQ(seq.stats().instructions, par_sys.stats().instructions);
-    EXPECT_EQ(seq.stats().totalNvmWriteBytes(),
-              par_sys.stats().totalNvmWriteBytes());
-}
-
-TEST(ParEngineSystem, ReportAccountsTokensAndPregen)
-{
-    Config cfg = smallConfig(1);
-    cfg.set("par.shards", std::uint64_t(4));
-    System sys(cfg, "nvoverlay", "kmeans");
-    sys.run();
-    par::ShardEngine *eng = sys.parEngine();
-    ASSERT_NE(eng, nullptr);
-    eng->stop();
-    const par::EngineReport &rep = eng->report();
-    EXPECT_EQ(rep.shards, 4u);
-    EXPECT_TRUE(rep.pregen) << "kmeans generation is "
-                               "confinement-certified";
-    EXPECT_GT(rep.quanta, 0u);
-    EXPECT_EQ(rep.tokens, rep.quanta * rep.shards);
-    ASSERT_EQ(rep.shard.size(), 4u);
-    std::uint64_t cores_run = 0;
-    for (const auto &m : rep.shard) {
-        EXPECT_EQ(m.quanta, rep.quanta);
-        EXPECT_EQ(m.xDropped, 0u);
-        cores_run += m.coresRun;
-    }
-    EXPECT_EQ(cores_run, rep.quanta * 16);
-    EXPECT_GT(rep.totalPregen(), 0u);
-    // kmeans scatters across shared arenas, so some traffic must
-    // have crossed a shard boundary.
-    EXPECT_GT(rep.totalCross() + rep.totalLocal(), 0u);
-}
-
-TEST(ParEngineSystem, SerialGeneratorDisablesPregen)
-{
-    Config cfg = smallConfig(1);
-    cfg.set("par.shards", std::uint64_t(2));
-    System sys(cfg, "nvoverlay", "btree");
-    sys.run();
-    par::ShardEngine *eng = sys.parEngine();
-    ASSERT_NE(eng, nullptr);
-    eng->stop();
-    EXPECT_FALSE(eng->report().pregen)
-        << "btree's generator mutates shared host structures";
-    EXPECT_EQ(eng->report().totalPregen(), 0u);
-}
-
-TEST(ParEngineSystem, ShardsClampToVdCountAndThreadsConfigurable)
-{
-    Config cfg = smallConfig(1);
-    cfg.set("par.shards", std::uint64_t(64)); // > numVds (8): clamped
-    cfg.set("par.threads", std::uint64_t(2)); // 2 workers, 8 shards
-    System sys(cfg, "nvoverlay", "kmeans");
-    sys.run();
-    par::ShardEngine *eng = sys.parEngine();
-    ASSERT_NE(eng, nullptr);
-    eng->stop();
-    EXPECT_EQ(eng->report().shards, 8u);
-    EXPECT_EQ(eng->report().threads, 2u);
-    EXPECT_GT(sys.stats().stores, 0u);
-}
-
-// --- Exception (poisoned-token) propagation -------------------------
-
-/** Emits trivial stores, then throws on one thread mid-run — the
- *  stand-in for a fault injected inside a core's token turn. */
-class ThrowingWorkload : public WorkloadBase
-{
-  public:
-    ThrowingWorkload(const Params &params, unsigned throw_thread,
-                     std::uint64_t throw_op)
-        : WorkloadBase(params), thrower(throw_thread),
-          throwOp(throw_op)
-    {
-    }
-
-    const char *name() const override { return "throwing"; }
-
-    void
-    genOp(unsigned thread, std::vector<MemRef> &out) override
-    {
-        if (thread == thrower && opsDone[thread] >= throwOp)
-            throw std::runtime_error("planned mid-run failure");
-        st(out, 0x100000 + thread * 0x10000 +
-                    (opsDone[thread] % 64) * 64);
-    }
-
-  private:
-    unsigned thrower;
-    std::uint64_t throwOp;
-};
-
-TEST(ParEngineSystem, WorkerExceptionReachesTheCoordinator)
-{
-    WorkloadBase::Params wp;
-    wp.numThreads = 16;
-    wp.opsPerThread = 500;
-
-    auto run_one = [&](std::uint64_t shards) {
-        Config cfg = smallConfig(1);
-        if (shards > 0)
-            cfg.set("par.shards", shards);
-        System sys(cfg, "none",
-                   std::make_unique<ThrowingWorkload>(wp, 5, 120));
-        std::string what;
-        try {
-            sys.run();
-        } catch (const std::runtime_error &e) {
-            what = e.what();
-        }
-        return std::make_pair(what, sys.stats().stores);
+    // Worker 1 of 2 owns task 1 and dies before sending it: the
+    // parent must refuse the incomplete result vector.
+    auto fn = [](unsigned t) {
+        if (t == 1)
+            ::_exit(1);
+        return std::to_string(t);
     };
-
-    auto seq = run_one(0);
-    EXPECT_EQ(seq.first, "planned mid-run failure");
-    for (std::uint64_t shards : {1, 4, 8}) {
-        auto par_res = run_one(shards);
-        EXPECT_EQ(par_res.first, seq.first)
-            << "shards=" << shards;
-        EXPECT_EQ(par_res.second, seq.second)
-            << "stores diverged before the throw at shards="
-            << shards;
-    }
+    EXPECT_DEATH(par::forkMap(4, 2, fn),
+                 "exited abnormally|no result for task");
 }
 
 } // namespace

@@ -5,11 +5,10 @@
  * Controller oracles reproduce the integer arithmetic by hand so any
  * drift in the PI/hysteresis step is a test diff, not a tuning
  * surprise. System-level tests pin the two load-bearing contracts:
- * the engine's decisions are byte-identical across shard engines
- * (stats JSON compare, the test_par.cc pattern), and the epoch pacer
- * demonstrably reacts to `nvm.write_bw_budget` — a run with the
- * budget set must steer the epoch length away from the same run
- * without it. Satellite coverage: NVM wear accounting, the phased
+ * a disabled engine leaves the stats JSON byte-unchanged, and the
+ * epoch pacer demonstrably reacts to `nvm.write_bw_budget` — a run
+ * with the budget set must steer the epoch length away from the same
+ * run without it. Satellite coverage: NVM wear accounting, the phased
  * workload wrapper, and the epoch-series row cap.
  */
 
@@ -20,7 +19,6 @@
 
 #include "harness/experiment.hh"
 #include "harness/system.hh"
-#include "obs/json.hh"
 #include "obs/metrics.hh"
 #include "obs/stats_json.hh"
 #include "policy/controller.hh"
@@ -353,53 +351,6 @@ TEST(PolicyEngineSystem, DisabledPolicyLeavesStatsByteUnchanged)
         statsJson(off),
         std::regex("\"policy\\.enabled\":\"0\",?"), "");
     EXPECT_EQ(disabled, pristine);
-}
-
-// --- System-level: shard-count byte-identity with the policy on -----
-
-std::string
-normalizedStatsJson(const Config &cfg)
-{
-    System sys(cfg, "nvoverlay", "hashtable");
-    sys.run();
-    std::ostringstream os;
-    std::function<void(obs::JsonWriter &)> policy_section;
-    if (const policy::PolicyEngine *pe = sys.policyEngine())
-        policy_section = [pe](obs::JsonWriter &w) {
-            pe->writeJson(w);
-        };
-    obs::writeStatsJson(os, "nvoverlay", "hashtable", sys.config(),
-                        sys.stats(), &sys.epochSeries(), 0.0,
-                        policy_section);
-    std::string text = os.str();
-    text = std::regex_replace(
-        text, std::regex("\"par\\.[a-z_]+\":\"[^\"]*\","), "");
-    text = std::regex_replace(
-        text, std::regex(",\"host_(run|finalize)_us\":[0-9]+"), "");
-    return text;
-}
-
-TEST(PolicyEngineSystem, DecisionsByteIdenticalAcrossShardCounts)
-{
-    Config base = tinyConfig(300);
-    base.set("epoch.stores_global", std::uint64_t(8000));
-    base.set("policy.enabled", std::uint64_t(1));
-    base.set("nvm.write_bw_budget", std::uint64_t(1800));
-    base.set("policy.walker.hi", std::uint64_t(4));
-    base.set("policy.compact.hi", std::uint64_t(200));
-    base.set("policy.compact.lo", std::uint64_t(100));
-
-    std::string oracle = normalizedStatsJson(base);
-    ASSERT_FALSE(oracle.empty());
-    // The oracle run actually exercised the engine.
-    EXPECT_NE(oracle.find("\"policy\""), std::string::npos);
-    EXPECT_NE(oracle.find("\"policy_evals\""), std::string::npos);
-    for (std::uint64_t shards : {1, 2, 8}) {
-        Config cfg = base;
-        cfg.set("par.shards", shards);
-        EXPECT_EQ(normalizedStatsJson(cfg), oracle)
-            << "policy decisions diverged at par.shards=" << shards;
-    }
 }
 
 } // namespace

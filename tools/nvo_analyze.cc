@@ -505,10 +505,10 @@ analyzeSteady(const Value &root)
 /**
  * (e): telemetry self-consistency (docs/OBSERVABILITY.md). Two
  * invariants the registry must uphold: every histogram's per-bucket
- * occupancies sum exactly to its sample count (the merge path folds
- * shard slots bucket-by-bucket, so any drift means a lost or
- * double-counted sample), and the snapshot carries every registered
- * sim-scope metric (`registered` vs. the sections actually present).
+ * occupancies sum exactly to its sample count (any drift means a
+ * lost or double-counted sample), and the snapshot carries every
+ * registered metric (`registered` vs. the sections actually
+ * present).
  * Silently skipped (exit 0) for runs without a metrics section.
  */
 int
@@ -558,7 +558,7 @@ analyzeMetrics(const Value &root)
     std::uint64_t expect = registered ? registered->asU64() : 0;
     if (!registered || expect != present) {
         std::printf("  METRIC MISSING: registry registered %llu "
-                    "sim-scope metric(s) but the snapshot carries "
+                    "metric(s) but the snapshot carries "
                     "%zu\n",
                     static_cast<unsigned long long>(expect), present);
         rc = 1;

@@ -32,7 +32,6 @@
 #include "nvoverlay/recovery.hh"
 #include "obs/stats_json.hh"
 #include "obs/trace.hh"
-#include "par/engine.hh"
 #include "policy/engine.hh"
 #include "workload/trace.hh"
 #include "workload/workload.hh"
@@ -61,12 +60,6 @@ usage()
         "                     processes (plans are pre-drawn, so "
         "results\n"
         "                     are identical for any job count)\n"
-        "  par.shards=<n>     run the simulation on the shared-"
-        "nothing\n"
-        "                     shard engine (n shards; bit-identical "
-        "stats;\n"
-        "                     par.threads/par.ring/par.pregen tune "
-        "it)\n"
         "  crash_point=<p>    single crash-recovery trial at the\n"
         "  crash_hit=<n>      n-th hit of fault point p (needs a\n"
         "                     build with NVO_FAULT=ON)\n"
@@ -310,40 +303,6 @@ main(int argc, char **argv)
                             sys.stats(), &sys.epochSeries(),
                             host_seconds, policy_section);
         std::printf("stats json -> %s\n", stats_json_path.c_str());
-    }
-
-    if (par::ShardEngine *eng = sys.parEngine()) {
-        // Engine metrics live outside RunStats so the stats dump and
-        // JSON stay bit-identical to the sequential engine; report
-        // them separately here. stop() joins the workers first.
-        eng->stop();
-        const par::EngineReport &rep = eng->report();
-        std::printf("par: %u shards / %u workers, %llu quanta, "
-                    "%llu token hops, pregen %s (%llu batches)\n",
-                    rep.shards, rep.threads,
-                    static_cast<unsigned long long>(rep.quanta),
-                    static_cast<unsigned long long>(rep.tokens),
-                    rep.pregen ? "on" : "off",
-                    static_cast<unsigned long long>(
-                        rep.totalPregen()));
-        for (std::size_t s = 0; s < rep.shard.size(); ++s) {
-            const par::ShardMetrics &m = rep.shard[s];
-            std::printf("par: shard %zu: quanta=%llu cores_run=%llu "
-                        "x_sent=%llu x_recv=%llu x_local=%llu "
-                        "x_dropped=%llu ring_hw=%llu "
-                        "pregen=%llu\n",
-                        s,
-                        static_cast<unsigned long long>(m.quanta),
-                        static_cast<unsigned long long>(m.coresRun),
-                        static_cast<unsigned long long>(m.xSent),
-                        static_cast<unsigned long long>(m.xReceived),
-                        static_cast<unsigned long long>(m.xLocal),
-                        static_cast<unsigned long long>(m.xDropped),
-                        static_cast<unsigned long long>(
-                            m.xRingHighWater),
-                        static_cast<unsigned long long>(
-                            m.pregenBatches));
-        }
     }
 
     sys.stats().print(std::cout,
