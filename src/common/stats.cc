@@ -113,6 +113,15 @@ RunStats::addNvmWrite(NvmWriteKind kind, std::uint64_t bytes, Cycle when)
     nvmBandwidth.add(when, bytes);
 }
 
+void
+RunStats::publishRefLatencies()
+{
+    if (stores)
+        extra["lat_store"] = storeLatCycles;
+    if (loads)
+        extra["lat_load"] = loadLatCycles;
+}
+
 std::uint64_t
 RunStats::totalNvmWriteBytes() const
 {

@@ -106,6 +106,10 @@ struct RunStats
     std::uint64_t loads = 0;
     std::uint64_t stores = 0;
     std::uint64_t barrierStallCycles = 0;
+    /** Hierarchy latency summed over stores/loads; kept typed on the
+     *  per-reference path and exported by publishRefLatencies(). */
+    std::uint64_t storeLatCycles = 0;
+    std::uint64_t loadLatCycles = 0;
 
     // Cache behaviour.
     std::uint64_t l1Hits = 0, l1Misses = 0;
@@ -175,6 +179,10 @@ struct RunStats
     std::map<std::string, std::uint64_t> extra;
 
     void addNvmWrite(NvmWriteKind kind, std::uint64_t bytes, Cycle when);
+
+    /** Export the reference latencies as extra["lat_store"] and
+     *  extra["lat_load"], each present once one such reference ran. */
+    void publishRefLatencies();
 
     std::uint64_t totalNvmWriteBytes() const;
     std::uint64_t nvmDataBytes() const;

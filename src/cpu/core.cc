@@ -50,12 +50,12 @@ Core::runUntil(Cycle quantum_end)
             Cycle slat = hier.store(coreId, ref.addr,
                                     ref.hasData ? ref.data : nullptr,
                                     ref.size, localCycle);
-            stats.extra["lat_store"] += slat;
+            stats.storeLatCycles += slat;
             localCycle += slat;
         } else {
             ++stats.loads;
             Cycle llat = hier.load(coreId, ref.addr, localCycle);
-            stats.extra["lat_load"] += llat;
+            stats.loadLatCycles += llat;
             localCycle += llat;
         }
     }

@@ -333,6 +333,7 @@ System::runUntil(Cycle limit)
     while (!done() && quantumEnd < limit)
         stepQuantum();
     stats_.cycles = quantumEnd;
+    stats_.publishRefLatencies();
     return done();
 }
 
@@ -356,6 +357,7 @@ System::run()
               static_cast<std::uint64_t>(obs::PhaseId::RunBegin), 0);
     while (!done())
         stepQuantum();
+    stats_.publishRefLatencies();
     nvo_assert(!finalized, "run() called twice");
     finalized = true;
     auto t1 = SteadyClock::now();

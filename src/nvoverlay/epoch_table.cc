@@ -1,5 +1,6 @@
 #include "nvoverlay/epoch_table.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/audit.hh"
@@ -10,20 +11,42 @@
 namespace nvo
 {
 
+namespace
+{
+
+/** Radix key bits: the walk consumes address bits 47..12. */
+constexpr Addr radixKeyMask =
+    ((Addr(1) << 48) - 1) & ~static_cast<Addr>(pageBytes - 1);
+
+/** Inner levels (1..3) whose node the walks to pages @p a and @p b
+ *  share. */
+unsigned
+sharedLevels(Addr a, Addr b)
+{
+    const Addr x = (a ^ b) & radixKeyMask;
+    return x >> 39 ? 0 : x >> 30 ? 1 : x >> 21 ? 2 : 3;
+}
+
+} // namespace
+
 EpochTable::EpochTable(EpochWide e, PagePool &page_pool,
-                       const Params &params)
+                       const Params &params, std::uint64_t *bytes_total)
     : epoch_(e), pool(page_pool), p(params),
       hWalk_(obs::metricRegistry().addHist("mnm.insert_walk_depth")),
-      root(new Node)
+      bytesTotal_(bytes_total)
 {
     nvo_assert(isPow2(p.initLines) && p.initLines >= 1 &&
                p.initLines <= linesPerPage);
     nvo_assert(p.growthFactor >= 2);
+    charge(tableBytes());   // the root
 }
 
 EpochTable::~EpochTable()
 {
-    destroy(root, 0);
+    if (bytesTotal_)
+        *bytesTotal_ -= tableBytes();
+    if (root)
+        destroy(root, 0);
 }
 
 void
@@ -46,9 +69,33 @@ EpochTable::idxAt(Addr page_addr, unsigned level)
     return static_cast<unsigned>((page_addr >> shift) & 0x1ff);
 }
 
+unsigned
+EpochTable::radixInsert(PageEntry *pe)
+{
+    Node *node = root;
+    unsigned allocated = 0;
+    for (unsigned level = 0; level < 3; ++level) {
+        void *&c = node->child[idxAt(pe->pageAddr, level)];
+        if (!c) {
+            c = new Node;
+            ++allocated;
+        }
+        node = static_cast<Node *>(c);
+    }
+    node->child[idxAt(pe->pageAddr, 3)] = pe;
+    return allocated;
+}
+
 EpochTable::PageEntry *
 EpochTable::findEntry(Addr page_addr) const
 {
+    if (!root) {
+        const Addr key = page_addr & radixKeyMask;
+        for (const auto &pe : entries)
+            if ((pe->pageAddr & radixKeyMask) == key)
+                return pe.get();
+        return nullptr;
+    }
     const Node *node = root;
     for (unsigned level = 0; level < 3; ++level) {
         const void *c = node->child[idxAt(page_addr, level)];
@@ -63,28 +110,42 @@ EpochTable::findEntry(Addr page_addr) const
 EpochTable::PageEntry *
 EpochTable::findOrCreateEntry(Addr page_addr)
 {
-    Node *node = root;
+    PageEntry *pe = findEntry(page_addr);
     unsigned allocated = 0;
-    for (unsigned level = 0; level < 3; ++level) {
-        void *&c = node->child[idxAt(page_addr, level)];
-        if (!c) {
-            c = new Node;
-            ++nodeCount;
-            ++allocated;
+    if (!pe) {
+        if (!root && entries.size() == scanPages) {
+            // Outgrown the scan: build the host radix, which must
+            // allocate exactly the modelled inner nodes.
+            root = new Node;
+            std::uint64_t nodes = 1;
+            for (const auto &e : entries)
+                nodes += radixInsert(e.get());
+            nvo_assert(nodes == nodeCount,
+                       "host radix diverged from the modelled one");
         }
-        node = static_cast<Node *>(c);
-    }
-    void *&leaf = node->child[idxAt(page_addr, 3)];
-    if (!leaf) {
         entries.push_back(std::make_unique<PageEntry>());
-        entries.back()->pageAddr = page_addr;
-        leaf = entries.back().get();
+        pe = entries.back().get();
+        pe->pageAddr = page_addr;
+        if (root) {
+            allocated = radixInsert(pe);
+        } else {
+            // Inner nodes the hardware walk would allocate on the
+            // way down: those no earlier page's walk passed through.
+            unsigned shared = 0;
+            for (std::size_t i = 0; i + 1 < entries.size(); ++i)
+                shared = std::max(
+                    shared, sharedLevels(entries[i]->pageAddr,
+                                         page_addr));
+            allocated = 3 - shared;
+        }
+        nodeCount += allocated;
+        charge(allocated * nodeBytes + leafBytes);
         ++allocated;
     }
     // Fixed-depth radix: 4 nodes visited, plus one "cost" unit per
     // node/leaf allocated on the way down.
     NVO_METRIC(record(hWalk_, 4 + allocated));
-    return static_cast<PageEntry *>(leaf);
+    return pe;
 }
 
 bool
@@ -326,14 +387,6 @@ EpochTable::audit() const
                       "header slot map diverged from the entry");
         }
     }
-}
-
-std::uint64_t
-EpochTable::tableBytes() const
-{
-    // Inner nodes are 512 x 8 B; leaf descriptors modelled at 16 B
-    // (bitmap + sub-page pointer), as in the hardware table.
-    return nodeCount * 4096 + entries.size() * 16;
 }
 
 } // namespace nvo

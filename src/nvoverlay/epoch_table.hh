@@ -2,13 +2,23 @@
  * @file
  * Per-epoch overlay mapping table (paper Sec. V-C).
  *
- * One instance exists per (OMC partition, epoch): a volatile 4-level
- * radix tree keyed by the 48-bit physical address (9 bits per level,
- * bits 47..12) whose leaves describe one overlay page each — a bitmap
- * of the lines versioned in this epoch plus the NVM sub-page that
- * stores them compactly. Sparse pages occupy power-of-two sub-pages
- * and are relocated to the next size when they outgrow one
- * (Page Overlays Sec. 4.4 behaviour).
+ * One instance exists per (OMC partition, epoch). The modelled
+ * hardware structure is a volatile 4-level radix tree keyed by the
+ * 48-bit physical address (9 bits per level, bits 47..12) whose leaves
+ * describe one overlay page each — a bitmap of the lines versioned in
+ * this epoch plus the NVM sub-page that stores them compactly. Sparse
+ * pages occupy power-of-two sub-pages and are relocated to the next
+ * size when they outgrow one (Page Overlays Sec. 4.4 behaviour).
+ *
+ * The radix tree is the modelled structure: tableBytes() and the
+ * walk-depth samples count the nodes the hardware walk would create.
+ * The host index is sparse. A table with few pages finds them by
+ * scanning its page list and allocates no nodes, so a one-page table
+ * does not cost the host four zeroed 4 KB nodes — which matters at
+ * high snapshot frequency, where tens of thousands of tables are
+ * retained. Past scanPages pages the table builds a host radix that
+ * mirrors the modelled one, for constant-time lookups with page
+ * locality.
  */
 
 #ifndef NVO_NVOVERLAY_EPOCH_TABLE_HH
@@ -74,7 +84,11 @@ class EpochTable
         bool reclaimed = false;
     };
 
-    EpochTable(EpochWide e, PagePool &page_pool, const Params &params);
+    /** @p bytes_total, when non-null, is the owner's running sum of
+     *  tableBytes() over its live tables: this table adds its
+     *  footprint as it grows and removes it on destruction. */
+    EpochTable(EpochWide e, PagePool &page_pool, const Params &params,
+               std::uint64_t *bytes_total = nullptr);
     ~EpochTable();
 
     EpochTable(const EpochTable &) = delete;
@@ -121,7 +135,12 @@ class EpochTable
     {
         return versions;
     }
-    std::uint64_t tableBytes() const;   ///< DRAM footprint of the tree
+    /** DRAM footprint of the modelled radix tree. */
+    std::uint64_t
+    tableBytes() const
+    {
+        return nodeCount * nodeBytes + entries.size() * leafBytes;
+    }
     std::uint64_t
     relocatedBytes() const
     {
@@ -138,12 +157,25 @@ class EpochTable
     void audit() const;
 
   private:
+    /** Inner nodes are 512 x 8 B; leaf descriptors are modelled at
+     *  16 B (bitmap + sub-page pointer), as in the hardware table. */
+    static constexpr std::uint64_t nodeBytes = 4096;
+    static constexpr std::uint64_t leafBytes = 16;
+
     struct Node
     {
         std::array<void *, 512> child{};
     };
 
+    /** Pages a table holds before it builds its host radix; smaller
+     *  tables find their pages by scanning `entries`. */
+    static constexpr std::size_t scanPages = 16;
+
     static unsigned idxAt(Addr page_addr, unsigned level);
+
+    /** Link @p pe into the host radix; returns the nodes allocated. */
+    unsigned radixInsert(PageEntry *pe);
+    void destroy(Node *node, unsigned level);
 
     PageEntry *findEntry(Addr page_addr) const;
     PageEntry *findOrCreateEntry(Addr page_addr);
@@ -151,7 +183,13 @@ class EpochTable
     /** Grow @p pe's sub-page; returns false if the pool is full. */
     bool grow(PageEntry &pe, const Sinks &sinks);
 
-    void destroy(Node *node, unsigned level);
+    /** Add @p bytes of modelled footprint to the owner's total. */
+    void
+    charge(std::uint64_t bytes)
+    {
+        if (bytesTotal_)
+            *bytesTotal_ += bytes;
+    }
 
     EpochWide epoch_;
     PagePool &pool;
@@ -160,11 +198,17 @@ class EpochTable
      *  findOrCreateEntry); shared across epochs via the registry's
      *  name dedup, so per-epoch construction stays cheap. */
     obs::HistMetric *hWalk_ = nullptr;
-    Node *root;
+    std::uint64_t *bytesTotal_ = nullptr;
+    /** Modelled radix nodes, root included. */
     std::uint64_t nodeCount = 1;
     std::uint64_t versions = 0;
     std::uint64_t relocBytes = 0;
+    /** Insertion order: fixes forEachVersion/forEachPage order, hence
+     *  the merge and ledger order. */
     std::vector<std::unique_ptr<PageEntry>> entries;
+    /** Host radix mirroring the modelled one; null until the table
+     *  outgrows scanPages. */
+    Node *root = nullptr;
 };
 
 } // namespace nvo

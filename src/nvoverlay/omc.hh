@@ -219,8 +219,9 @@ class MnmBackend
      * reachable through the master, which never regresses to an older
      * epoch; master entries resolve into live, allocated pool
      * sub-pages and never map past the recoverable epoch; buffered
-     * pending writes still resolve through their epoch tables. Also
-     * recurses into the per-part pool, master, table, and buffer
+     * pending writes still resolve through their epoch tables; each
+     * partition's running table-byte total equals a full recompute.
+     * Also recurses into the per-part pool, master, table, and buffer
      * audits.
      */
     void audit() const;
@@ -259,6 +260,9 @@ class MnmBackend
     {
         std::unique_ptr<PagePool> pool;
         std::unique_ptr<MasterTable> master;
+        /** Running sum of tableBytes() over `tables`, kept by the
+         *  tables themselves (declared first: it outlives them). */
+        std::uint64_t tableBytes = 0;
         std::map<EpochWide, std::unique_ptr<EpochTable>> tables;
         std::unique_ptr<OmcBuffer> buffer;
         std::uint64_t pendingMetaBytes = 0;

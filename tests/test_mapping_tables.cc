@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "nvoverlay/epoch_table.hh"
 #include "nvoverlay/master_table.hh"
 #include "nvoverlay/page_pool.hh"
+#include "obs/registry.hh"
 
 namespace nvo
 {
@@ -146,13 +148,64 @@ TEST_F(EpochTableTest, PoolExhaustionReturnsFalse)
 
 TEST_F(EpochTableTest, TableBytesGrowWithFootprint)
 {
-    std::uint64_t empty = table->tableBytes();
+    // The modelled radix: 4 KB inner nodes (9 bits per level) and
+    // 16 B leaf descriptors. Walk depth is 4 plus the nodes and leaf
+    // an insert allocates.
+    auto &reg = obs::metricRegistry();
+    const bool was_armed = reg.armed();
+    obs::HistMetric *walk = reg.addHist("mnm.insert_walk_depth");
+    walk->hist.reset();
+    reg.setArmed(true);
+
+    EXPECT_EQ(table->tableBytes(), 4096u) << "root only";
     table->insert(0x1000, 1, lineOf(1), sinks);
-    std::uint64_t one = table->tableBytes();
-    EXPECT_GT(one, empty);
-    // A second insert in a distant region adds radix nodes.
-    table->insert(0x1000000000, 2, lineOf(1), sinks);
-    EXPECT_GT(table->tableBytes(), one);
+    EXPECT_EQ(table->tableBytes(), 16400u) << "3 nodes + 1 leaf";
+    table->insert(0x1040, 2, lineOf(1), sinks);   // same page: a hit
+    EXPECT_EQ(table->tableBytes(), 16400u);
+    // A second page in the same 2 MB region adds only its leaf.
+    table->insert(0x2000, 3, lineOf(1), sinks);
+    EXPECT_EQ(table->tableBytes(), 16416u);
+    // Bits 38..30 differ: two new inner nodes plus a leaf.
+    table->insert(0x1000000000, 4, lineOf(1), sinks);
+    EXPECT_EQ(table->tableBytes(), 16416u + 8208u);
+
+    reg.setArmed(was_armed);
+    if (!obs::metricCompiled)
+        GTEST_SKIP() << "built with NVO_METRIC=OFF";
+    const obs::Histogram &h = walk->hist;
+    EXPECT_EQ(h.count(), 4u);
+    EXPECT_EQ(h.bucket(8), 1u) << "first insert: 4 + 3 nodes + leaf";
+    EXPECT_EQ(h.bucket(4), 1u) << "hit";
+    EXPECT_EQ(h.bucket(5), 1u) << "leaf only";
+    EXPECT_EQ(h.bucket(7), 1u) << "2 nodes + leaf";
+    EXPECT_EQ(h.sum(), 24u);
+}
+
+TEST_F(EpochTableTest, LargeTableKeepsFootprintAndLookups)
+{
+    // Pages 1 GB apart share only the level-1 node: each adds a
+    // level-2 and a level-3 node. 40 pages take the table past the
+    // page-list scan onto its host radix.
+    constexpr unsigned pages = 40;
+    for (unsigned i = 0; i < pages; ++i)
+        ASSERT_TRUE(table->insert(static_cast<Addr>(i) << 30, i,
+                                  lineOf(static_cast<std::uint8_t>(i)),
+                                  sinks));
+    EXPECT_EQ(table->tableBytes(),
+              (1 + 1 + 2 * pages) * 4096u + pages * 16u);
+    std::vector<Addr> order;
+    table->forEachVersion(
+        [&](Addr line, Addr) { order.push_back(line); });
+    ASSERT_EQ(order.size(), pages);
+    for (unsigned i = 0; i < pages; ++i) {
+        EXPECT_EQ(order[i], static_cast<Addr>(i) << 30)
+            << "insertion order";
+        LineData out;
+        ASSERT_TRUE(table->readVersion(static_cast<Addr>(i) << 30, out));
+        EXPECT_EQ(out, lineOf(static_cast<std::uint8_t>(i)));
+        EXPECT_NE(table->pageEntry(static_cast<Addr>(i) << 30), nullptr);
+    }
+    EXPECT_EQ(table->pageEntry(0x1000), nullptr);
 }
 
 TEST(MasterTable, InsertLookupReplace)

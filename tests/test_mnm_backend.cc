@@ -278,6 +278,92 @@ TEST_F(MnmTest, CompactionCopiesLiveVersionsForward)
     }
 }
 
+/** Full recompute of the per-epoch table footprint (epochs 0..15). */
+std::uint64_t
+sumOfTableBytes(MnmBackend &backend)
+{
+    std::uint64_t total = 0;
+    for (unsigned omc = 0; omc < backend.numOmcs(); ++omc)
+        for (EpochWide e = 0; e < 16; ++e)
+            if (const EpochTable *t = backend.epochTable(omc, e))
+                total += t->tableBytes();
+    return total;
+}
+
+TEST_F(MnmTest, RunningTableBytesFollowDroppedMerges)
+{
+    params.dropMergedTables = true;
+    rebuild();
+    for (EpochWide e = 1; e <= 4; ++e)
+        for (unsigned i = 0; i < 6; ++i)
+            backend->insertVersion(0x10000 * e + i * 0x1040, e, ++seq,
+                                   lineOf(static_cast<std::uint8_t>(e)),
+                                   0);
+    // Two pages in a distant region add inner nodes of their own.
+    backend->insertVersion(0x1000000000, 2, ++seq, lineOf(9), 0);
+    const std::uint64_t all = backend->epochTableBytesTotal();
+    EXPECT_GT(all, 0u);
+    EXPECT_EQ(all, sumOfTableBytes(*backend));
+
+    backend->reportMinVer(0, 3, 0);
+    backend->reportMinVer(1, 3, 0);
+    ASSERT_EQ(backend->recEpoch(), 2u);
+    for (unsigned omc = 0; omc < backend->numOmcs(); ++omc)
+        EXPECT_EQ(backend->epochTable(omc, 2), nullptr)
+            << "merged tables dropped";
+    EXPECT_LT(backend->epochTableBytesTotal(), all);
+    EXPECT_GT(backend->epochTableBytesTotal(), 0u);
+    EXPECT_EQ(backend->epochTableBytesTotal(), sumOfTableBytes(*backend));
+    backend->updateStats();
+    EXPECT_EQ(stats.epochTableBytes, backend->epochTableBytesTotal());
+    backend->audit();
+}
+
+TEST_F(MnmTest, RunningTableBytesFollowCompactionAndRebuilds)
+{
+    params.compactionThreshold = 0.5;
+    rebuild();
+    // Epoch 1 maps two pages, epoch 2 overwrites one of them, and
+    // epoch 3 lands only in the other partition: compaction at
+    // rec-epoch 3 copies epoch 1's live page into a fresh epoch-3
+    // table of the first partition.
+    for (unsigned i = 0; i < 8; ++i) {
+        backend->insertVersion(0x20000 + i * 128, 1, ++seq, lineOf(1),
+                               0);
+        backend->insertVersion(0x30000 + i * 128, 1, ++seq, lineOf(2),
+                               0);
+        backend->insertVersion(0x30000 + i * 128, 2, ++seq, lineOf(3),
+                               0);
+    }
+    const unsigned omc = backend->omcOf(0x20000);
+    backend->insertVersion(0x20040, 3, ++seq, lineOf(4), 0);
+    ASSERT_NE(backend->omcOf(0x20040), omc);
+    EXPECT_EQ(backend->epochTableBytesTotal(), sumOfTableBytes(*backend));
+
+    backend->reportMinVer(0, 4, 0);
+    backend->reportMinVer(1, 4, 0);
+    ASSERT_EQ(backend->recEpoch(), 3u);
+    ASSERT_EQ(backend->epochTable(omc, 3), nullptr);
+    const std::uint64_t before = backend->epochTableBytesTotal();
+    backend->compact(0);
+    ASSERT_NE(backend->epochTable(omc, 3), nullptr)
+        << "compaction created its target table";
+    EXPECT_GT(backend->epochTableBytesTotal(), before);
+    EXPECT_EQ(backend->epochTableBytesTotal(), sumOfTableBytes(*backend));
+
+    backend->crashReset();
+    EXPECT_GT(backend->epochTableBytesTotal(), 0u);
+    EXPECT_EQ(backend->epochTableBytesTotal(), sumOfTableBytes(*backend));
+
+    backend->dropVolatileTables();
+    EXPECT_EQ(backend->epochTableBytesTotal(), 0u);
+    EXPECT_EQ(sumOfTableBytes(*backend), 0u);
+
+    backend->rebuildTables();
+    EXPECT_GT(backend->epochTableBytesTotal(), 0u);
+    EXPECT_EQ(backend->epochTableBytesTotal(), sumOfTableBytes(*backend));
+}
+
 TEST_F(MnmTest, PoolAutoExtendsWhenFull)
 {
     params.poolBytesPerOmc = pageBytes;   // one page per OMC
