@@ -93,12 +93,10 @@ PiclScheme::onStore(unsigned core, unsigned vd, Addr line_addr,
             // tracking structure must be persisted now.
             stall += writeData(line->addr, now, EvictReason::Capacity);
         }
-        line->reset();
-        line->addr = line_addr;
+        tags.install(line, line_addr);
         line->dirty = true;
         line->oid = epoch_;
         line->seq = epoch_;
-        tags.lookup(line_addr);
         stall += writeLog(now);
     }
 

@@ -30,6 +30,7 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned ways)
     nvo_assert(isPow2(num_sets), "number of sets must be a power of 2");
     sets = static_cast<unsigned>(num_sets);
     lines.resize(static_cast<std::size_t>(sets) * ways_);
+    tags.assign(lines.size(), invalidAddr);
 }
 
 unsigned
@@ -52,11 +53,12 @@ CacheLine *
 CacheArray::probe(Addr line_addr)
 {
     nvo_assert(lineAlign(line_addr) == line_addr);
-    CacheLine *base = &lines[static_cast<std::size_t>(setOf(line_addr)) *
-                             ways_];
+    std::size_t base = static_cast<std::size_t>(setOf(line_addr)) * ways_;
+    const Addr *set_tags = &tags[base];
     for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].valid() && base[w].addr == line_addr)
-            return &base[w];
+        // A tag can be stale (line reset outside the array): confirm.
+        if (set_tags[w] == line_addr && lines[base + w].addr == line_addr)
+            return &lines[base + w];
     }
     return nullptr;
 }
@@ -70,18 +72,37 @@ CacheArray::probe(Addr line_addr) const
 CacheLine *
 CacheArray::allocSlot(Addr line_addr)
 {
-    nvo_assert(probe(line_addr) == nullptr,
-               "allocSlot on an already-present address");
+    nvo_assert(lineAlign(line_addr) == line_addr);
     CacheLine *base = &lines[static_cast<std::size_t>(setOf(line_addr)) *
                              ways_];
-    CacheLine *victim = &base[0];
+    CacheLine *free_way = nullptr;
+    CacheLine *victim = nullptr;
     for (unsigned w = 0; w < ways_; ++w) {
-        if (!base[w].valid())
-            return &base[w];
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
+        CacheLine &line = base[w];
+        if (!line.valid()) {
+            if (!free_way)
+                free_way = &line;
+            continue;
+        }
+        nvo_assert(line.addr != line_addr,
+                   "allocSlot on an already-present address");
+        if (!victim || line.lru < victim->lru)
+            victim = &line;
     }
-    return victim;
+    return free_way ? free_way : victim;
+}
+
+CacheLine *
+CacheArray::install(CacheLine *slot, Addr line_addr)
+{
+    std::size_t idx = static_cast<std::size_t>(slot - lines.data());
+    nvo_assert(idx < lines.size() && idx / ways_ == setOf(line_addr),
+               "install into a slot outside the address's set");
+    slot->reset();
+    slot->addr = line_addr;
+    slot->lru = ++lruClock;
+    tags[idx] = line_addr;
+    return slot;
 }
 
 void
@@ -145,6 +166,9 @@ CacheArray::audit() const
                       "cached address not line-aligned");
             NVO_AUDIT(setOf(line.addr) == set,
                       "line stored in the wrong set");
+            NVO_AUDIT(tags[static_cast<std::size_t>(set) * ways_ + w] ==
+                          line.addr,
+                      "packed tag differs from the line's address");
             NVO_AUDIT(line.state != CohState::I,
                       "valid line in coherence state I");
             NVO_AUDIT(line.lru <= lruClock,

@@ -7,6 +7,13 @@
  * address; unlike the original Page Overlays design, NVOverlay looks
  * up by address only, never by (address, OID) pairs (paper
  * Sec. IV-A1), so one address occupies at most one slot per array.
+ *
+ * Each set's addresses are also kept in a packed tag array beside the
+ * lines, so a probe scans one contiguous run of 8-byte tags instead of
+ * striding over whole CacheLine records. Tags are written only by
+ * install(); a line reset from outside the array (a back-invalidation,
+ * a victim hand-off) leaves its tag stale, and probe() confirms every
+ * tag match against the line's own address, which rejects it.
  */
 
 #ifndef NVO_CACHE_CACHE_ARRAY_HH
@@ -42,10 +49,17 @@ class CacheArray
     /**
      * Pick a slot for @p line_addr in its set: an invalid way if one
      * exists, else the LRU way. The caller must handle the returned
-     * slot's previous content (the victim) before overwriting it.
-     * @p line_addr must not already be present.
+     * slot's previous content (the victim) before install()ing over
+     * it. @p line_addr must not already be present (panics).
      */
     CacheLine *allocSlot(Addr line_addr);
+
+    /**
+     * Reset @p slot (from allocSlot(@p line_addr), victim already
+     * handled), make it hold @p line_addr, record its tag and make it
+     * the set's most recently used way. Returns @p slot.
+     */
+    CacheLine *install(CacheLine *slot, Addr line_addr);
 
     /** Invalidate (reset) a line previously returned by lookup. */
     void invalidate(CacheLine *line);
@@ -70,9 +84,10 @@ class CacheArray
 
     /**
      * Structural invariant sweep (NVO_AUDIT): every valid line sits
-     * in the set its address hashes to, no address occupies two ways
-     * of a set (NVOverlay looks up by address only, paper Sec. IV-A1),
-     * and replacement stamps never run ahead of the LRU clock.
+     * in the set its address hashes to, its packed tag equals its
+     * address, no address occupies two ways of a set (NVOverlay looks
+     * up by address only, paper Sec. IV-A1), and replacement stamps
+     * never run ahead of the LRU clock.
      */
     void audit() const;
 
@@ -83,6 +98,9 @@ class CacheArray
     unsigned ways_;
     std::uint64_t lruClock = 0;
     std::vector<CacheLine> lines;
+    /** tags[i] is the address install() put in lines[i]; stale once
+     *  the line is reset elsewhere. */
+    std::vector<Addr> tags;
 };
 
 } // namespace nvo

@@ -46,14 +46,16 @@ writable(CohState s)
  */
 struct CacheLine
 {
+    // Wide fields first, then the narrow ones packed into the tail:
+    // 48 bytes per line.
     Addr addr = invalidAddr;      ///< line-aligned address; invalid slot
-    CohState state = CohState::I;
-    bool dirty = false;
     EpochWide oid = 0;            ///< epoch of last write (version tag)
     SeqNo seq = 0;                ///< last store seqno (verification)
     std::uint64_t lru = 0;        ///< replacement stamp
-    std::uint16_t sharers = 0;    ///< L2 only: bitmask of local L1s
     std::unique_ptr<LineData> sealedData;   ///< sealed version payload
+    std::uint16_t sharers = 0;    ///< L2 only: bitmask of local L1s
+    CohState state = CohState::I;
+    bool dirty = false;
 
     bool valid() const { return addr != invalidAddr; }
     bool sealed() const { return sealedData != nullptr; }
@@ -70,6 +72,9 @@ struct CacheLine
         sealedData.reset();
     }
 };
+
+static_assert(sizeof(CacheLine) <= 48,
+              "CacheLine grew past its packed 48-byte layout");
 
 } // namespace nvo
 

@@ -112,11 +112,8 @@ Hierarchy::llcInsert(Addr line_addr, EpochWide oid, SeqNo seq, bool dirty,
         line = sl.array().allocSlot(line_addr);
         if (line->valid())
             llcEvictVictim(*line, now);
-        line->reset();
-        line->addr = line_addr;
+        sl.array().install(line, line_addr);
         line->state = CohState::S;
-        // Bump replacement state for the fresh line.
-        sl.array().lookup(line_addr);
     }
     // OIDs only move forward at the LLC (Sec. IV-A4).
     if (oid >= line->oid) {
@@ -227,12 +224,16 @@ Hierarchy::handleL2Victim(unsigned vd, CacheLine &victim, Cycle now)
         }
     }
 
-    // Release directory presence.
+    // Release directory presence; an entry no VD holds is forgotten
+    // (it reads back as a default entry), so the directory stays
+    // bounded by the total L2 capacity.
     LlcSlice &sl = *slices[sliceOf(addr)];
     if (DirEntry *e = sl.dirProbe(addr)) {
         e->removeSharer(vd);
         if (e->ownerVd == static_cast<int>(vd))
             e->ownerVd = -1;
+        if (!e->hasSharers() && e->ownerVd < 0)
+            sl.dirErase(addr);
     }
     victim.reset();
     return stall;
@@ -246,13 +247,11 @@ Hierarchy::fillL1(unsigned core, Addr addr, CohState st, EpochWide oid,
     CacheLine *slot = arr.allocSlot(addr);
     if (slot->valid())
         handleL1Victim(core, *slot, now);
-    slot->reset();
-    slot->addr = addr;
+    arr.install(slot, addr);
     slot->state = st;
     slot->oid = oid;
     slot->seq = seq;
     slot->dirty = dirty;
-    arr.lookup(addr);   // bump LRU
     return slot;
 }
 
@@ -264,13 +263,11 @@ Hierarchy::fillL2(unsigned vd, Addr addr, CohState st, EpochWide oid,
     CacheLine *slot = arr.allocSlot(addr);
     if (slot->valid())
         handleL2Victim(vd, *slot, now);
-    slot->reset();
-    slot->addr = addr;
+    arr.install(slot, addr);
     slot->state = st;
     slot->oid = oid;
     slot->seq = seq;
     slot->dirty = dirty;
-    arr.lookup(addr);
     return slot;
 }
 
@@ -402,6 +399,10 @@ Hierarchy::fetchIntoL2(unsigned vd, Addr addr, bool exclusive, Cycle now,
         lat += p.noc->vdToSlice(vd, slice_idx) + p.llcArrayLatency;
     else
         lat += sl.latency();
+    // The directory is a flat map whose entries move on insert and
+    // erase. Nothing below inserts into it, and the only erase is an
+    // L2 victim's in fillL2, so `e` must be written for the last time
+    // before that call.
     DirEntry &e = sl.dir(addr);
 
     EpochWide rv = 0;

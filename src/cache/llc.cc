@@ -21,22 +21,13 @@ LlcSlice::dir(Addr line_addr)
 DirEntry *
 LlcSlice::dirProbe(Addr line_addr)
 {
-    auto it = directory.find(line_addr);
-    return it == directory.end() ? nullptr : &it->second;
+    return directory.find(line_addr);
 }
 
 void
 LlcSlice::dirErase(Addr line_addr)
 {
     directory.erase(line_addr);
-}
-
-void
-LlcSlice::forEachDirEntry(
-    const std::function<void(Addr, const DirEntry &)> &fn) const
-{
-    for (const auto &kv : directory)
-        fn(kv.first, kv.second);
 }
 
 void
@@ -50,14 +41,15 @@ LlcSlice::audit() const
                   "L2-private sharer bits on an LLC line");
         NVO_AUDIT(!line.sealed(), "sealed payload in the LLC");
     });
-    for (const auto &kv : directory) {
-        NVO_AUDIT(lineAlign(kv.first) == kv.first,
+    directory.forEach([](Addr line_addr, const DirEntry &e) {
+        NVO_AUDIT(lineAlign(line_addr) == line_addr,
                   "directory keyed by an unaligned address");
-        const DirEntry &e = kv.second;
         NVO_AUDIT(e.ownerVd < 0 ||
                       e.isSharer(static_cast<unsigned>(e.ownerVd)),
                   "directory owner VD is not a sharer");
-    }
+        NVO_AUDIT(e.hasSharers() || e.ownerVd >= 0,
+                  "empty directory entry retained");
+    });
 }
 
 } // namespace nvo

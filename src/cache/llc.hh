@@ -6,17 +6,20 @@
  * Non-inclusive: a line may be cached above without being present in
  * the slice's data array, so the directory is kept in a separate
  * (idealized full-map) structure rather than in the LLC tags
- * (paper Sec. II-D motivates exactly this organization).
+ * (paper Sec. II-D motivates exactly this organization). The
+ * directory is a flat AddrMap holding only lines some L2 caches: an
+ * entry is erased once no VD shares or owns it, so its size is
+ * bounded by the total L2 capacity. The data array probes its packed
+ * tags and fills through CacheArray::install().
  */
 
 #ifndef NVO_CACHE_LLC_HH
 #define NVO_CACHE_LLC_HH
 
 #include <cstdint>
-#include <functional>
-#include <unordered_map>
 
 #include "cache/cache_array.hh"
+#include "common/addr_map.hh"
 #include "common/types.hh"
 
 namespace nvo
@@ -54,7 +57,10 @@ class LlcSlice
     Cycle latency() const { return lat; }
     unsigned sliceId() const { return slice; }
 
-    /** Directory entry for @p line_addr, created on first touch. */
+    /**
+     * Directory entry for @p line_addr, created on first touch. The
+     * reference is invalidated by the next dir() insert or dirErase().
+     */
     DirEntry &dir(Addr line_addr);
 
     /** Directory entry if it exists, else nullptr. */
@@ -65,14 +71,11 @@ class LlcSlice
 
     std::size_t dirSize() const { return directory.size(); }
 
-    /** Visit every directory entry: fn(line_addr, entry). */
-    void forEachDirEntry(
-        const std::function<void(Addr, const DirEntry &)> &fn) const;
-
     /**
      * Invariant sweep (NVO_AUDIT): array structure is sound, no LLC
-     * line carries L2-private sharer bits or a sealed payload, and
-     * directory owners are listed among their entry's sharers.
+     * line carries L2-private sharer bits or a sealed payload,
+     * directory owners are listed among their entry's sharers, and no
+     * empty directory entry is retained.
      */
     void audit() const;
 
@@ -80,7 +83,7 @@ class LlcSlice
     CacheArray arr;
     Cycle lat;
     unsigned slice;
-    std::unordered_map<Addr, DirEntry> directory;
+    AddrMap<DirEntry> directory;
 };
 
 } // namespace nvo

@@ -19,8 +19,8 @@ LineData::digest() const
 BackingStore::Page *
 BackingStore::findPage(Addr page_addr) const
 {
-    auto it = pages.find(page_addr);
-    return it == pages.end() ? nullptr : it->second.get();
+    const std::unique_ptr<Page> *slot = pages.find(page_addr);
+    return slot ? slot->get() : nullptr;
 }
 
 BackingStore::Page &
@@ -103,16 +103,6 @@ BackingStore::setLineMeta(Addr line_addr, EpochWide oid, SeqNo seq)
     unsigned tag = li & ~(oidGran - 1);
     if (oid > page.meta[tag].oid || oidGran == 1)
         page.meta[tag].oid = oid;
-}
-
-std::vector<Addr>
-BackingStore::pageAddrs() const
-{
-    std::vector<Addr> out;
-    out.reserve(pages.size());
-    for (const auto &kv : pages)
-        out.push_back(kv.first);
-    return out;
 }
 
 void

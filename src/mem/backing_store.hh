@@ -16,9 +16,8 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
+#include "common/addr_map.hh"
 #include "common/bitutil.hh"
 #include "common/types.hh"
 
@@ -75,9 +74,6 @@ class BackingStore
     /** Number of materialized pages (footprint check). */
     std::size_t numPages() const { return pages.size(); }
 
-    /** Addresses of all materialized pages (recovery comparison). */
-    std::vector<Addr> pageAddrs() const;
-
     /** Drop all content (simulated power loss of DRAM). */
     void clear();
 
@@ -98,7 +94,8 @@ class BackingStore
     Page &getPage(Addr page_addr);
 
     unsigned oidGran = 1;
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages;
+    /** Page index; pages stay put when the index rehashes. */
+    AddrMap<std::unique_ptr<Page>> pages;
 };
 
 } // namespace nvo

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache_array.hh"
 #include "common/audit.hh"
 #include "common/log.hh"
 #include "harness/experiment.hh"
@@ -213,6 +214,19 @@ TEST(AuditDeath, BackendCorruptPoolIsCaught)
     // so `sub` is the block base the allocator handed out).
     backend.pool(omc).freeLines(sub, 4, 0);
     EXPECT_DEATH(backend.audit(), "audit failure");
+}
+
+TEST(AuditDeath, StaleCacheTagIsCaught)
+{
+    CacheArray arr(4096, 4);
+    const Addr a = 0x1000;
+    CacheLine *line = arr.install(arr.allocSlot(a), a);
+    line->state = CohState::S;
+    arr.audit();   // healthy so far
+    // Seeded corruption: the way is re-addressed within its set
+    // without install(), so its packed tag names another line.
+    line->addr = a + static_cast<Addr>(arr.numSets()) * lineBytes;
+    EXPECT_DEATH(arr.audit(), "packed tag differs");
 }
 
 #else // !NVO_AUDIT_ENABLED

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <unordered_set>
 
 #include "cache/cache_array.hh"
@@ -31,7 +32,8 @@ TEST(CacheArray, LookupMissThenHit)
     CacheLine *slot = arr.allocSlot(0x1000);
     ASSERT_NE(slot, nullptr);
     EXPECT_FALSE(slot->valid());
-    slot->addr = 0x1000;
+    EXPECT_EQ(arr.install(slot, 0x1000), slot);
+    EXPECT_EQ(slot->addr, 0x1000u);
     slot->state = CohState::E;
     EXPECT_EQ(arr.lookup(0x1000), slot);
     EXPECT_EQ(arr.numValid(), 1u);
@@ -42,9 +44,8 @@ TEST(CacheArray, LruVictimSelection)
     CacheArray arr(4 * 64, 4);   // one set, 4 ways
     for (Addr a = 0; a < 4; ++a) {
         CacheLine *slot = arr.allocSlot(a * 64 * arr.numSets());
-        slot->addr = a * 64 * arr.numSets();
+        arr.install(slot, a * 64 * arr.numSets());
         slot->state = CohState::S;
-        arr.lookup(slot->addr);
     }
     // Touch line 0 so line 1 becomes LRU.
     arr.lookup(0);
@@ -55,8 +56,7 @@ TEST(CacheArray, LruVictimSelection)
 TEST(CacheArray, InvalidSlotPreferredOverVictim)
 {
     CacheArray arr(4 * 64, 4);
-    CacheLine *a = arr.allocSlot(0);
-    a->addr = 0;
+    CacheLine *a = arr.install(arr.allocSlot(0), 0);
     a->state = CohState::S;
     CacheLine *b = arr.allocSlot(64 * arr.numSets());
     EXPECT_FALSE(b->valid());
@@ -66,13 +66,14 @@ TEST(CacheArray, InvalidSlotPreferredOverVictim)
 TEST(CacheArray, InvalidateResets)
 {
     CacheArray arr(4096, 4);
-    CacheLine *slot = arr.allocSlot(0x40 * arr.numSets() * 2);
-    slot->addr = 0x40 * arr.numSets() * 2;
+    Addr a = 0x40 * arr.numSets() * 2;
+    CacheLine *slot = arr.install(arr.allocSlot(a), a);
     slot->state = CohState::M;
     slot->dirty = true;
     arr.invalidate(slot);
     EXPECT_FALSE(slot->valid());
     EXPECT_EQ(arr.numValid(), 0u);
+    EXPECT_EQ(arr.probe(a), nullptr) << "the stale tag is rejected";
 }
 
 TEST(CacheArray, ForEachValidVisitsAll)
@@ -84,7 +85,7 @@ TEST(CacheArray, ForEachValidVisitsAll)
         CacheLine *slot = arr.allocSlot(a);
         if (slot->valid())
             continue;
-        slot->addr = a;
+        arr.install(slot, a);
         slot->state = CohState::S;
         inserted.insert(a);
     }
@@ -118,13 +119,57 @@ TEST_P(CacheArrayGeom, RandomFillProperties)
         CacheLine *slot = arr.allocSlot(a);
         if (slot->valid())
             present.erase(slot->addr);
-        slot->reset();
-        slot->addr = a;
+        arr.install(slot, a);
         slot->state = CohState::S;
         present.insert(a);
         EXPECT_LE(arr.numValid(), arr.numSets() * arr.numWays());
     }
     EXPECT_EQ(arr.numValid(), present.size());
+    arr.audit();
+}
+
+/** Packed tags under churn: installs, invalidate()s and resets done
+ *  behind the array's back (which leave stale tags) never make probe()
+ *  disagree with an address -> line oracle. */
+TEST_P(CacheArrayGeom, TagChurnMatchesOracle)
+{
+    auto [size_kb, ways] = GetParam();
+    CacheArray arr(size_kb * 1024ull, ways);
+    Rng rng(size_kb * 977 + ways);
+    // A small address space relative to capacity keeps sets full and
+    // makes re-installs over stale tags common.
+    const std::uint64_t space = 4ull * arr.numSets() * arr.numWays();
+    std::map<Addr, CacheLine *> oracle;
+
+    for (int i = 0; i < 20000; ++i) {
+        Addr a = rng.below(space) * lineBytes;
+        unsigned op = static_cast<unsigned>(rng.below(4));
+        auto it = oracle.find(a);
+        if (it == oracle.end()) {
+            CacheLine *slot = arr.allocSlot(a);
+            if (slot->valid())
+                oracle.erase(slot->addr);
+            arr.install(slot, a);
+            slot->state = CohState::S;
+            oracle[a] = slot;
+        } else if (op == 0) {
+            arr.invalidate(it->second);
+            oracle.erase(it);
+        } else if (op == 1) {
+            it->second->reset();   // e.g. a back-invalidation
+            oracle.erase(it);
+        }
+        // Compare a random address and the one just touched.
+        for (Addr q : {a, rng.below(space) * lineBytes}) {
+            auto o = oracle.find(q);
+            CacheLine *want = o == oracle.end() ? nullptr : o->second;
+            ASSERT_EQ(arr.probe(q), want) << "address " << q;
+        }
+    }
+    EXPECT_EQ(arr.numValid(), oracle.size());
+    for (const auto &[addr, line] : oracle)
+        EXPECT_EQ(arr.probe(addr), line);
+    arr.audit();
 }
 
 INSTANTIATE_TEST_SUITE_P(

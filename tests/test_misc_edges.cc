@@ -2,7 +2,8 @@
  * @file
  * Edge-case coverage: recovery validation failure paths, stats
  * printing, snapshot-reader boundaries, buffer bypass semantics, and
- * directory behaviour under eviction pressure.
+ * directory behaviour (presence release, bounded size) under eviction
+ * pressure.
  */
 
 #include <gtest/gtest.h>
@@ -166,6 +167,74 @@ TEST(DirectoryEdge, EvictionReleasesPresence)
     }
     EXPECT_LE(resident, 16u) << "at most the L2 capacity stays listed";
     EXPECT_EQ(hier.checkInvariants(), "");
+}
+
+TEST(DirectoryEdge, StaysBoundedByL2Capacity)
+{
+    RunStats stats;
+    BackingStore backing;
+    DramModel dram(DramModel::Params{}, &stats);
+    Hierarchy::Params p;
+    p.numCores = 4;
+    p.coresPerVd = 2;       // 2 VDs
+    p.numLlcSlices = 4;
+    p.l1.sizeBytes = 512;   // 8 lines
+    p.l1.ways = 2;
+    p.l2.sizeBytes = 1024;  // 16 lines
+    p.l2.ways = 2;
+    p.llc.sliceBytes = 16 * 1024;
+    Hierarchy hier(p, backing, dram, stats);
+    const std::size_t l2_lines =
+        hier.numVds() * (p.l2.sizeBytes / lineBytes);
+
+    auto dir_size = [&hier] {
+        std::size_t n = 0;
+        for (unsigned s = 0; s < hier.numSlices(); ++s)
+            n += hier.llcSlice(s).dirSize();
+        return n;
+    };
+
+    // Both VDs share a few lines; VD 1 keeps them, VD 0 evicts them.
+    const Addr shared = 0x800000;
+    for (Addr a = 0; a < 4; ++a) {
+        hier.load(2, shared + a * lineBytes, 0);
+        hier.load(0, shared + a * lineBytes, 0);
+    }
+
+    // Stream 20x one L2's capacity of distinct lines through VD 0,
+    // over every set and slice, mixing loads and stores on both of
+    // its cores.
+    const Addr base = 0x400000;
+    const Addr stride = pageBytes + lineBytes;
+    const unsigned streamed = 20 * (p.l2.sizeBytes / lineBytes);
+    for (unsigned i = 0; i < streamed; ++i) {
+        Addr a = base + i * stride;
+        unsigned core = i % 2;
+        if (i % 3 == 0)
+            hier.store(core, a, nullptr, 8, 0);
+        else
+            hier.load(core, a, 0);
+        ASSERT_LE(dir_size(), l2_lines)
+            << "directory outgrew the L2s after " << i + 1 << " lines";
+    }
+
+    // The first streamed line left VD 0 long ago and no other VD
+    // holds it: its entry is gone, not kept empty.
+    EXPECT_EQ(hier.l2Line(0, base), nullptr);
+    EXPECT_EQ(hier.dirEntry(base), nullptr);
+    // A shared line VD 1 still holds keeps its entry, without VD 0.
+    for (Addr a = 0; a < 4; ++a) {
+        Addr line = shared + a * lineBytes;
+        EXPECT_EQ(hier.l2Line(0, line), nullptr);
+        ASSERT_NE(hier.l2Line(1, line), nullptr);
+        const DirEntry *e = hier.dirEntry(line);
+        ASSERT_NE(e, nullptr);
+        EXPECT_TRUE(e->isSharer(1));
+        EXPECT_FALSE(e->isSharer(0));
+    }
+    EXPECT_EQ(hier.checkInvariants(), "");
+    for (unsigned s = 0; s < hier.numSlices(); ++s)
+        hier.llcSlice(s).audit();
 }
 
 TEST(LlcEdge, DirtyVictimsReachDram)
