@@ -72,7 +72,7 @@ main(int argc, char **argv)
                 buf, sizeof buf, "%llu %llu %llu",
                 static_cast<unsigned long long>(pool_bytes),
                 static_cast<unsigned long long>(
-                    sys.stats().extra["subpage_reloc_bytes"]),
+                    sys.stats().subpageRelocBytes),
                 static_cast<unsigned long long>(
                     sys.stats().totalNvmWriteBytes()));
             return std::string(buf);

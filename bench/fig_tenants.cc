@@ -32,13 +32,6 @@ struct Cell
     std::uint64_t rejections = 0;
 };
 
-std::uint64_t
-extraOf(const RunStats &stats, const char *key)
-{
-    auto it = stats.extra.find(key);
-    return it == stats.extra.end() ? 0 : it->second;
-}
-
 } // namespace
 
 int
@@ -77,9 +70,9 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     r.stats.nvmDataBytes()),
                 static_cast<unsigned long long>(
-                    extraOf(r.stats, "tenant_throttle_stalls")),
+                    r.stats.tenantThrottleStalls),
                 static_cast<unsigned long long>(
-                    extraOf(r.stats, "tenant_quota_rejections")));
+                    r.stats.tenantQuotaRejections));
             return std::string(buf);
         });
     std::array<Cell, numCells> cells;

@@ -30,32 +30,6 @@ toString(EvictReason reason)
     }
 }
 
-Histogram::Histogram(std::uint64_t bucket_width, std::size_t num_buckets)
-    : width(bucket_width), buckets(num_buckets, 0)
-{
-    nvo_assert(bucket_width > 0);
-    nvo_assert(num_buckets > 0);
-}
-
-void
-Histogram::add(std::uint64_t sample)
-{
-    std::size_t idx = sample / width;
-    if (idx >= buckets.size())
-        idx = buckets.size() - 1;
-    ++buckets[idx];
-    ++samples;
-    sum += sample;
-    if (sample > maxSeen)
-        maxSeen = sample;
-}
-
-double
-Histogram::mean() const
-{
-    return samples ? static_cast<double>(sum) / samples : 0.0;
-}
-
 TimeSeries::TimeSeries(Cycle bucket_cycles) : width(bucket_cycles)
 {
     nvo_assert(bucket_cycles > 0);
@@ -114,12 +88,22 @@ RunStats::addNvmWrite(NvmWriteKind kind, std::uint64_t bytes, Cycle when)
 }
 
 void
-RunStats::publishRefLatencies()
+RunStats::publish()
 {
     if (stores)
         extra["lat_store"] = storeLatCycles;
     if (loads)
         extra["lat_load"] = loadLatCycles;
+    auto put = [this](const char *key, std::uint64_t v) {
+        if (v)
+            extra[key] = v;
+    };
+    put("nvm_write_retries", nvmWriteRetries);
+    put("subpage_reloc_bytes", subpageRelocBytes);
+    put("pool_extensions", poolExtensions);
+    put("late_merges", lateMerges);
+    put("tenant_quota_rejections", tenantQuotaRejections);
+    put("tenant_throttle_stalls", tenantThrottleStalls);
 }
 
 std::uint64_t

@@ -1,7 +1,8 @@
 /**
  * @file
- * Run statistics: hot counters as plain fields, plus a histogram and a
- * bandwidth time series. Every experiment harness consumes a RunStats.
+ * Run statistics: every count the simulation makes is a typed field,
+ * plus a bandwidth time series. Every experiment harness consumes a
+ * RunStats.
  */
 
 #ifndef NVO_COMMON_STATS_HH
@@ -44,31 +45,6 @@ enum class EvictReason : unsigned
 
 const char *toString(EvictReason reason);
 
-/** Fixed-width bucketed histogram over uint64 samples. */
-class Histogram
-{
-  public:
-    explicit Histogram(std::uint64_t bucket_width = 1,
-                       std::size_t num_buckets = 64);
-
-    void add(std::uint64_t sample);
-    std::uint64_t count() const { return samples; }
-    std::uint64_t total() const { return sum; }
-    double mean() const;
-    std::uint64_t maxSample() const { return maxSeen; }
-    const std::vector<std::uint64_t> &bucketCounts() const
-    {
-        return buckets;
-    }
-
-  private:
-    std::uint64_t width;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t samples = 0;
-    std::uint64_t sum = 0;
-    std::uint64_t maxSeen = 0;
-};
-
 /**
  * Bytes binned by cycle bucket; used for the Fig. 17 NVM bandwidth
  * time series. Buckets extend on demand.
@@ -106,8 +82,8 @@ struct RunStats
     std::uint64_t loads = 0;
     std::uint64_t stores = 0;
     std::uint64_t barrierStallCycles = 0;
-    /** Hierarchy latency summed over stores/loads; kept typed on the
-     *  per-reference path and exported by publishRefLatencies(). */
+    /** Hierarchy latency summed over stores/loads; exported by
+     *  publish(). */
     std::uint64_t storeLatCycles = 0;
     std::uint64_t loadLatCycles = 0;
 
@@ -144,8 +120,16 @@ struct RunStats
     std::uint64_t poolPagesInUse = 0;
     std::uint64_t gcCompactions = 0;
     std::uint64_t gcBytesCopied = 0;
+    std::uint64_t nvmWriteRetries = 0;     ///< transient device errors
+    std::uint64_t subpageRelocBytes = 0;
+    std::uint64_t poolExtensions = 0;
+    std::uint64_t lateMerges = 0;          ///< mapped behind rec-epoch
     std::uint64_t tagWalkLinesScanned = 0;
     std::uint64_t tagWalkWriteBacks = 0;
+
+    // Tenant plane (src/tenant); zero when untenanted.
+    std::uint64_t tenantQuotaRejections = 0;
+    std::uint64_t tenantThrottleStalls = 0;   ///< cycles
 
     /** Snapshot replication (src/repl); all zero when disabled. */
     struct ReplStats
@@ -175,14 +159,16 @@ struct RunStats
     /** NVM write bandwidth series (all kinds combined). */
     TimeSeries nvmBandwidth{100000};
 
-    /** Cold extension counters keyed by name. */
+    /** End-of-run export view keyed by name: written by publish()
+     *  and the end-of-run exporters, never counted into. */
     std::map<std::string, std::uint64_t> extra;
 
     void addNvmWrite(NvmWriteKind kind, std::uint64_t bytes, Cycle when);
 
-    /** Export the reference latencies as extra["lat_store"] and
-     *  extra["lat_load"], each present once one such reference ran. */
-    void publishRefLatencies();
+    /** Export the typed fields that have an `extra` key (the
+     *  reference latencies, MNM and tenant counts), each present
+     *  once it is non-zero. */
+    void publish();
 
     std::uint64_t totalNvmWriteBytes() const;
     std::uint64_t nvmDataBytes() const;

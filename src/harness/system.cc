@@ -225,18 +225,13 @@ System::build(const std::string &scheme_name)
                          [s] { return s->gcBytesCopied; });
         series_.addProbe("tag_walk_write_backs",
                          [s] { return s->tagWalkWriteBacks; });
-        // Tenant aggregates live in stats.extra (per-ASID detail is
-        // export-only); gated so untenanted series stay identical.
+        // Gated so untenanted series stay identical.
         if (cfg_.has("tenant.enabled") &&
             cfg_.getBool("tenant.enabled", false)) {
-            series_.addProbe("tenant_throttle_stalls", [s] {
-                auto it = s->extra.find("tenant_throttle_stalls");
-                return it == s->extra.end() ? 0 : it->second;
-            });
-            series_.addProbe("tenant_quota_rejections", [s] {
-                auto it = s->extra.find("tenant_quota_rejections");
-                return it == s->extra.end() ? 0 : it->second;
-            });
+            series_.addProbe("tenant_throttle_stalls",
+                             [s] { return s->tenantThrottleStalls; });
+            series_.addProbe("tenant_quota_rejections",
+                             [s] { return s->tenantQuotaRejections; });
         }
         // Soak runs cap the series memory; the exporter notes the
         // decimation factor (has()-gated: unset keeps the series —
@@ -333,7 +328,7 @@ System::runUntil(Cycle limit)
     while (!done() && quantumEnd < limit)
         stepQuantum();
     stats_.cycles = quantumEnd;
-    stats_.publishRefLatencies();
+    stats_.publish();
     return done();
 }
 
@@ -357,7 +352,6 @@ System::run()
               static_cast<std::uint64_t>(obs::PhaseId::RunBegin), 0);
     while (!done())
         stepQuantum();
-    stats_.publishRefLatencies();
     nvo_assert(!finalized, "run() called twice");
     finalized = true;
     auto t1 = SteadyClock::now();
@@ -389,6 +383,9 @@ System::run()
     if (policy_)
         policy_->exportStats(stats_);
     nvm_->exportWear(stats_);
+    // After finalize: its drain can still count (late merges,
+    // relocations, retries).
+    stats_.publish();
 
     auto t2 = SteadyClock::now();
     stats_.extra["host_run_us"] = host_us(t0, t1);

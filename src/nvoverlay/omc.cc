@@ -78,7 +78,7 @@ MnmBackend::deviceWrite(Addr nvm_addr, Cycle now,
         ++attempts;
         nvo_assert(attempts <= p.maxDeviceRetries,
                    "NVM write still failing after the retry budget");
-        stats.extra["nvm_write_retries"] += 1;
+        ++stats.nvmWriteRetries;
         stall += backoff;
         now += backoff;
         backoff *= 2;
@@ -142,7 +142,7 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
     sinks.reloc = [&](Addr a, std::uint32_t) {
         stall += deviceWrite(a, now, obs::LedgerCause::SubpageReloc,
                              asid);
-        stats.extra["subpage_reloc_bytes"] += lineBytes;
+        stats.subpageRelocBytes += lineBytes;
     };
     sinks.meta = [&](std::uint32_t bytes) {
         part.pendingMetaBytes += bytes;
@@ -167,7 +167,7 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
         }
         if (!ok) {
             part.pool->extend(p.extendPages);
-            stats.extra["pool_extensions"] += 1;
+            ++stats.poolExtensions;
             ok = table.insert(line_addr, seq, content, sinks);
         }
         nvo_assert(ok, "pool exhausted even after extension");
@@ -197,7 +197,7 @@ MnmBackend::insertVersion(Addr line_addr, EpochWide oid, SeqNo seq,
             ++pe->liveMaster;
             if (replaced)
                 unref(oidx, part, line_addr, *replaced, now);
-            stats.extra["late_merges"] += 1;
+            ++stats.lateMerges;
             NVO_TRACE(Merge, LateMerge, obs::trackOmc(oidx), now,
                       line_addr, oid);
             NVO_LEDGER(merged(oidx, line_addr, oid, true, now));

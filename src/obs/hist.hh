@@ -12,9 +12,6 @@
  * true sample. The footprint is a fixed 976-bucket array (~7.8 KB) —
  * no allocation on the record path, ever.
  *
- * Buckets are plain counters, so two histograms merge by bucket-wise
- * addition without any loss.
- *
  * Cost model: record() is branch-free except for the sub-16 fast
  * test — a bit-scan, two shifts, and four add/stores. Call sites go
  * through the registry's NVO_METRIC macro (obs/registry.hh), which
@@ -80,20 +77,6 @@ class Histogram
             min_ = v;
         if (v > max_)
             max_ = v;
-    }
-
-    /** Bucket-wise addition; exact (no resampling). */
-    void
-    merge(const Histogram &o)
-    {
-        for (unsigned i = 0; i < numBuckets; ++i)
-            buckets_[i] += o.buckets_[i];
-        count_ += o.count_;
-        sum_ += o.sum_;
-        if (o.min_ < min_)
-            min_ = o.min_;
-        if (o.max_ > max_)
-            max_ = o.max_;
     }
 
     void

@@ -26,8 +26,6 @@ MetricRegistry::configure(const Config &cfg)
     bool enabled = cfg.has("metrics.enabled") &&
                    cfg.getBool("metrics.enabled", false);
     armed_ = metricCompiled && enabled;
-    for (Counter &c : counters_)
-        c.value = 0;
     for (HistMetric &h : hists_)
         h.hist.reset();
     gauges_.clear();
@@ -37,18 +35,6 @@ void
 MetricRegistry::setArmed(bool on)
 {
     armed_ = on && metricCompiled;
-}
-
-Counter *
-MetricRegistry::addCounter(const std::string &name)
-{
-    auto it = counterByName_.find(name);
-    if (it != counterByName_.end())
-        return it->second;
-    counters_.push_back(Counter{name});
-    Counter *c = &counters_.back();
-    counterByName_[name] = c;
-    return c;
 }
 
 HistMetric *
@@ -73,7 +59,7 @@ MetricRegistry::addGauge(const std::string &name,
 std::size_t
 MetricRegistry::registered() const
 {
-    return counters_.size() + hists_.size() + gauges_.size();
+    return hists_.size() + gauges_.size();
 }
 
 namespace
@@ -108,10 +94,6 @@ MetricRegistry::writeJson(JsonWriter &w) const
     w.beginObject();
     w.kv("enabled", armed_);
     w.kv("registered", static_cast<std::uint64_t>(registered()));
-    w.key("counters").beginObject();
-    for (const auto &kv : counterByName_)
-        w.kv(kv.first, kv.second->value);
-    w.endObject();
     w.key("gauges").beginObject();
     for (const auto &kv : gauges_)
         if (kv.second)
@@ -147,11 +129,6 @@ promName(const std::string &name)
 void
 MetricRegistry::writePrometheus(std::ostream &os) const
 {
-    for (const auto &kv : counterByName_) {
-        std::string n = promName(kv.first);
-        os << "# TYPE " << n << "_total counter\n";
-        os << n << "_total " << kv.second->value << "\n";
-    }
     for (const auto &kv : gauges_) {
         if (!kv.second)
             continue;
@@ -183,10 +160,6 @@ MetricRegistry::writeJsonlLine(std::ostream &os, EpochWide epoch,
     w.kv("format", "nvo-metrics-v1");
     w.kv("epoch", epoch);
     w.kv("cycle", now);
-    w.key("counters").beginObject();
-    for (const auto &kv : counterByName_)
-        w.kv(kv.first, kv.second->value);
-    w.endObject();
     w.key("gauges").beginObject();
     for (const auto &kv : gauges_)
         if (kv.second)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Unified metric registry: named counters, gauges, and histograms
- * with static registration sites.
+ * Unified metric registry: named histograms and polled gauges with
+ * static registration sites. Counts are not registry metrics: the
+ * simulation counts into typed RunStats fields (common/stats.hh).
  *
  * Components register their metrics once (typically in their
  * constructor, which runs during System::build after the registry is
@@ -17,8 +18,8 @@
  * `nvo_analyze` validates).
  *
  * Registrations persist for the life of the process (handles stay
- * valid across System rebuilds); configure() zeroes every value and
- * drops gauges, whose closures capture per-build component state.
+ * valid across System rebuilds); configure() empties every histogram
+ * and drops gauges, whose closures capture per-build component state.
  */
 
 #ifndef NVO_OBS_REGISTRY_HH
@@ -51,15 +52,6 @@ constexpr bool metricCompiled = true;
 constexpr bool metricCompiled = false;
 #endif
 
-/** A monotonically increasing count. Record through
- *  MetricRegistry::inc (via NVO_METRIC); never construct one directly
- *  outside the registry (the `metric-registry` lint rule). */
-struct Counter
-{
-    std::string name;
-    std::uint64_t value = 0;
-};
-
 /** A distribution (obs/hist.hh). */
 struct HistMetric
 {
@@ -76,8 +68,8 @@ class MetricRegistry
     /**
      * (Re)configure from @p cfg: `metrics.enabled` (default off; only
      * probed when explicitly set, so untouched configs dump
-     * byte-identically). Zeroes every counter and histogram and
-     * drops all gauges. Runs at the top of System::build, before
+     * byte-identically). Empties every histogram and drops all
+     * gauges. Runs at the top of System::build, before
      * components register.
      */
     void configure(const Config &cfg);
@@ -87,11 +79,8 @@ class MetricRegistry
 
     // --- Registration (build time; handles live forever) -----------
 
-    /** Register (or look up) a counter. A second registration under
-     *  the same name returns the existing handle. */
-    Counter *addCounter(const std::string &name);
-
-    /** Register (or look up) a histogram. */
+    /** Register (or look up) a histogram. A second registration
+     *  under the same name returns the existing handle. */
     HistMetric *addHist(const std::string &name);
 
     /** Register a gauge polled at snapshot time; re-registering
@@ -101,13 +90,11 @@ class MetricRegistry
 
     // --- Hot path (call through NVO_METRIC) ------------------------
 
-    void inc(Counter *c, std::uint64_t d = 1) { c->value += d; }
-
     void record(HistMetric *h, std::uint64_t v) { h->hist.record(v); }
 
     // --- Snapshots --------------------------------------------------
 
-    /** Number of metrics (counters + gauges + histograms) currently
+    /** Number of metrics (gauges + histograms) currently
      *  registered — the `registered` field nvo_analyze checks the
      *  snapshot against. */
     std::size_t registered() const;
@@ -126,9 +113,7 @@ class MetricRegistry
   private:
     bool armed_ = false;
     /** Deques: handle pointers must survive later registrations. */
-    std::deque<Counter> counters_;
     std::deque<HistMetric> hists_;
-    std::map<std::string, Counter *> counterByName_;
     std::map<std::string, HistMetric *> histByName_;
     std::map<std::string, std::function<std::uint64_t()>> gauges_;
 };

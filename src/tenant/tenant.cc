@@ -93,7 +93,7 @@ TenantManager::onInsert(Asid asid, std::uint32_t bytes, Cycle now)
             // punch a silent hole in the tenant's snapshot) — price
             // the tenant out with penalty debt instead.
             ++t.quotaRejections;
-            stats.extra["tenant_quota_rejections"] += 1;
+            ++stats.tenantQuotaRejections;
             t.tokens -=
                 static_cast<std::int64_t>(p.quotaPenaltyBytes);
         } else if (static_cast<double>(lines) >=
@@ -144,7 +144,7 @@ TenantManager::throttleStall(Asid asid, Cycle now)
     t.tokens = 0;
     t.lastRefill = now + stall;
     t.throttleStallCycles += stall;
-    stats.extra["tenant_throttle_stalls"] += stall;
+    stats.tenantThrottleStalls += stall;
     NVO_METRIC(record(t.hStall, stall));
     return stall;
 }

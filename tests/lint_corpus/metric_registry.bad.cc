@@ -1,6 +1,6 @@
 // lint-path: nvoverlay/fixture.cc
-// A privately owned histogram: invisible to the exporter and outside
-// the registry's shard-slot merge, so parallel runs would diverge.
+// A privately owned histogram: invisible to the exporter and to the
+// stats JSON metrics section.
 
 struct BufferStats
 {

@@ -6,17 +6,14 @@
 namespace obs
 {
 struct HistMetric;
-struct Counter;
 } // namespace obs
 
 struct Instrumented
 {
     obs::HistMetric *hWalk_ = nullptr;
-    obs::Counter *cInserts_ = nullptr;
 
     Instrumented()
-        : hWalk_(obs::metricRegistry().addHist("mnm.walk_depth")),
-          cInserts_(obs::metricRegistry().addCounter("mnm.inserts"))
+        : hWalk_(obs::metricRegistry().addHist("mnm.walk_depth"))
     {
     }
 
@@ -24,6 +21,5 @@ struct Instrumented
     walk(unsigned depth)
     {
         NVO_METRIC(record(hWalk_, depth));
-        NVO_METRIC(inc(cInserts_, 1));
     }
 };

@@ -148,22 +148,6 @@ TEST(BitUtil, Alignment)
     EXPECT_EQ(roundUpPow2(64, 64), 64u);
 }
 
-TEST(Histogram, BucketsAndMoments)
-{
-    Histogram h(10, 5);
-    h.add(0);
-    h.add(9);
-    h.add(10);
-    h.add(1000);   // clamps to last bucket
-    EXPECT_EQ(h.count(), 4u);
-    EXPECT_EQ(h.total(), 1019u);
-    EXPECT_EQ(h.maxSample(), 1000u);
-    EXPECT_EQ(h.bucketCounts()[0], 2u);
-    EXPECT_EQ(h.bucketCounts()[1], 1u);
-    EXPECT_EQ(h.bucketCounts()[4], 1u);
-    EXPECT_DOUBLE_EQ(h.mean(), 1019.0 / 4);
-}
-
 TEST(TimeSeries, BinningAndPeak)
 {
     TimeSeries ts(100);

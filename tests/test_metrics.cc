@@ -4,7 +4,7 @@
  *
  * The load-bearing contracts: bucket math keeps every quantile
  * within 1/16 relative error of the rank-selected sample; the
- * Prometheus text round-trips the registry's totals; and a disarmed
+ * Prometheus text round-trips the registry's summaries; and a disarmed
  * registry (or an NVO_METRIC=OFF build) records nothing while
  * everything still compiles and runs.
  */
@@ -108,24 +108,6 @@ TEST(Histogram, PercentilesMatchSortedOracle)
     EXPECT_EQ(h.bucketOccupancySum(), h.count());
 }
 
-TEST(Histogram, MergeEqualsCombinedRecording)
-{
-    std::mt19937_64 rng(7);
-    Histogram a, b, combined;
-    for (int i = 0; i < 5000; ++i) {
-        std::uint64_t v = rng() >> (rng() % 50);
-        (i % 2 ? a : b).record(v);
-        combined.record(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), combined.count());
-    EXPECT_EQ(a.sum(), combined.sum());
-    EXPECT_EQ(a.min(), combined.min());
-    EXPECT_EQ(a.max(), combined.max());
-    for (unsigned i = 0; i < Histogram::numBuckets; ++i)
-        ASSERT_EQ(a.bucket(i), combined.bucket(i)) << "bucket " << i;
-}
-
 // --- Registry -------------------------------------------------------
 
 Config
@@ -143,18 +125,13 @@ TEST(MetricRegistry, RegistrationDedupsByName)
     obs::HistMetric *h1 = reg.addHist("test.dedup_hist");
     obs::HistMetric *h2 = reg.addHist("test.dedup_hist");
     EXPECT_EQ(h1, h2);
-    obs::Counter *c1 = reg.addCounter("test.dedup_ctr");
-    obs::Counter *c2 = reg.addCounter("test.dedup_ctr");
-    EXPECT_EQ(c1, c2);
 }
 
 TEST(MetricRegistry, PrometheusRoundTrip)
 {
     auto &reg = obs::metricRegistry();
     reg.configure(armedConfig());
-    obs::Counter *c = reg.addCounter("test.rt_ops");
     obs::HistMetric *h = reg.addHist("test.rt_lat");
-    reg.inc(c, 42);
     for (std::uint64_t v : {1, 2, 3, 100, 1000})
         reg.record(h, v);
 
@@ -172,7 +149,6 @@ TEST(MetricRegistry, PrometheusRoundTrip)
         ASSERT_NE(sp, std::string::npos) << line;
         vals[line.substr(0, sp)] = line.substr(sp + 1);
     }
-    EXPECT_EQ(vals.at("nvo_test_rt_ops_total"), "42");
     EXPECT_EQ(vals.at("nvo_test_rt_lat_count"), "5");
     EXPECT_EQ(vals.at("nvo_test_rt_lat_sum"), "1106");
     EXPECT_EQ(vals.at("nvo_test_rt_lat_max"), "1000");
@@ -189,11 +165,8 @@ TEST(MetricRegistry, DisarmedMacroRecordsNothing)
     reg.configure(Config());   // metrics.enabled unset: disarmed
     EXPECT_FALSE(reg.armed());
     obs::HistMetric *h = reg.addHist("test.disarmed");
-    obs::Counter *c = reg.addCounter("test.disarmed_ctr");
     NVO_METRIC(record(h, 7));
-    NVO_METRIC(inc(c, 1));
     EXPECT_EQ(h->hist.count(), 0u);
-    EXPECT_EQ(c->value, 0u);
     // Under NVO_METRIC=OFF even an armed-looking config must stay
     // disarmed: the macro body is never evaluated.
     reg.configure(armedConfig());

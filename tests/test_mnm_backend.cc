@@ -373,7 +373,7 @@ TEST_F(MnmTest, PoolAutoExtendsWhenFull)
     for (unsigned i = 0; i < 128; ++i)
         backend->insertVersion(0x40000 + i * 128, 1, ++seq, lineOf(1),
                                0);
-    EXPECT_GT(stats.extra["pool_extensions"], 0u);
+    EXPECT_GT(stats.poolExtensions, 0u);
 }
 
 } // namespace

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+
 #include "common/log.hh"
 #include "harness/experiment.hh"
 #include "harness/system.hh"
@@ -72,6 +76,63 @@ TEST(SystemTest, WorkloadCompletionIsExact)
     sys.run();
     EXPECT_EQ(sys.workload().opsCompleted(), 400u * 8);
     EXPECT_TRUE(sys.done());
+}
+
+TEST(SystemTest, ChunkedRunPublishesTheSameExtra)
+{
+    // The capped multi-tenant config that exercises every count that
+    // is published into `extra` by name: late merges, pool extensions,
+    // quota rejections, throttle stalls (plus the policy and wear
+    // exports). Driving it through runUntil chunks before run(), as
+    // perfbench does, must publish the same `extra` as one run().
+    setQuiet(true);
+    Config cfg = defaultConfig();
+    for (const auto &[key, value] :
+         {std::pair<const char *, const char *>{"tenant.enabled", "1"},
+          {"wl.kv.tenants", "4"},
+          {"tenant.quota_lines", "600"},
+          {"tenant.qos_bytes_per_kcycle", "16"},
+          {"tenant.qos_burst_bytes", "8192"},
+          {"policy.enabled", "1"},
+          {"nvm.wear.enabled", "1"},
+          {"mnm.pool_mb_per_omc", "1"},
+          {"epoch.stores_global", "4096"},
+          {"wl.ops", "4000"},
+          {"rng.seed", "1"}})
+        cfg.set(key, value);
+    // Throttle stalls stretch this run to ~700k quanta; in audit
+    // builds a full structural sweep every 64 quanta would cost
+    // minutes. The sweeps still run, every 8192 quanta and at the end.
+    cfg.set("audit.stride", std::uint64_t(8192));
+    auto simulated = [](const RunStats &st) {
+        auto extra = st.extra;
+        std::erase_if(extra, [](const auto &kv) {
+            return kv.first.rfind("host_", 0) == 0;
+        });
+        return extra;
+    };
+
+    System whole(cfg, "nvoverlay", "kv_service");
+    whole.run();
+    const auto expect = simulated(whole.stats());
+    for (const char *key : {"late_merges", "pool_extensions",
+                            "tenant_quota_rejections",
+                            "tenant_throttle_stalls"})
+        EXPECT_TRUE(expect.count(key)) << key << " never counted";
+
+    System chunked(cfg, "nvoverlay", "kv_service");
+    const Cycle step = whole.stats().cycles / 5;
+    ASSERT_GT(step, 0u);
+    for (Cycle limit = step; !chunked.runUntil(limit); limit += step) {
+        // Each chunk boundary publishes what the run counted so far.
+        const RunStats &st = chunked.stats();
+        if (st.tenantQuotaRejections) {
+            EXPECT_EQ(st.extra.at("tenant_quota_rejections"),
+                      st.tenantQuotaRejections);
+        }
+    }
+    chunked.run();
+    EXPECT_EQ(simulated(chunked.stats()), expect);
 }
 
 TEST(SystemTest, NvoWalkersMakeProgress)

@@ -550,10 +550,8 @@ analyzeMetrics(const Value &root)
                     checked);
 
     const Value *registered = metrics->get("registered");
-    const Value *counters = metrics->get("counters");
     const Value *gauges = metrics->get("gauges");
-    std::size_t present = (counters ? counters->obj.size() : 0) +
-                          (gauges ? gauges->obj.size() : 0) +
+    std::size_t present = (gauges ? gauges->obj.size() : 0) +
                           (hists ? hists->obj.size() : 0);
     std::uint64_t expect = registered ? registered->asU64() : 0;
     if (!registered || expect != present) {

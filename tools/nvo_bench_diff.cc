@@ -18,12 +18,18 @@
  * wall-clock samples; the threshold exists to absorb intentional
  * protocol changes that move counts a little, not host noise.
  *
+ * Two runs of different configs are not comparable: if the files'
+ * `config` objects differ, every differing or missing key is printed
+ * and no rows are compared.
+ *
  * Usage: nvo_bench_diff [--threshold PCT] baseline.json current.json
- * Exit:  0 no regression, 1 regression/missing rows, 2 bad input.
+ * Exit:  0 no regression, 1 regression/missing rows, 2 bad input
+ *        (unreadable file, bad --threshold, config mismatch).
  */
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -39,8 +45,15 @@ namespace
 using jsonmini::Value;
 using Key = std::tuple<std::string, std::string, std::string>;
 
-std::map<Key, double>
-loadRows(const std::string &path, std::string &bench_name)
+struct BenchFile
+{
+    std::string bench = "?";
+    std::map<std::string, std::string> config;
+    std::map<Key, double> rows;
+};
+
+BenchFile
+load(const std::string &path)
 {
     std::ifstream is(path, std::ios::binary);
     if (!is) {
@@ -66,18 +79,47 @@ loadRows(const std::string &path, std::string &bench_name)
                      path.c_str());
         std::exit(2);
     }
+    BenchFile f;
     if (root->get("bench"))
-        bench_name = root->get("bench")->asString();
-    std::map<Key, double> rows;
+        f.bench = root->get("bench")->asString();
+    if (const Value *config = root->get("config"))
+        for (const auto &kv : config->obj)
+            f.config[kv.first] = kv.second->asString();
     const Value *results = root->get("results");
     if (results) {
         for (const auto &r : results->arr)
-            rows[{r->get("workload")->asString(),
-                  r->get("scheme")->asString(),
-                  r->get("metric")->asString()}] =
+            f.rows[{r->get("workload")->asString(),
+                    r->get("scheme")->asString(),
+                    r->get("metric")->asString()}] =
                 r->get("value")->asDouble();
     }
-    return rows;
+    return f;
+}
+
+/** Print every config key whose value differs or that one side
+ *  lacks; returns the number printed. */
+int
+configMismatches(const BenchFile &base, const BenchFile &cur)
+{
+    int n = 0;
+    auto show = [&n](const std::string &key, const std::string *b,
+                     const std::string *c) {
+        std::printf("CONFIG     %s: %s -> %s\n", key.c_str(),
+                    b ? b->c_str() : "(missing)",
+                    c ? c->c_str() : "(missing)");
+        ++n;
+    };
+    for (const auto &[key, value] : base.config) {
+        auto it = cur.config.find(key);
+        if (it == cur.config.end())
+            show(key, &value, nullptr);
+        else if (it->second != value)
+            show(key, &value, &it->second);
+    }
+    for (const auto &[key, value] : cur.config)
+        if (!base.config.count(key))
+            show(key, nullptr, &value);
+    return n;
 }
 
 } // namespace
@@ -90,7 +132,17 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--threshold") == 0 &&
             i + 1 < argc) {
-            threshold = std::strtod(argv[++i], nullptr);
+            const char *arg = argv[++i];
+            char *end = nullptr;
+            threshold = std::strtod(arg, &end);
+            if (end == arg || *end != '\0' ||
+                !std::isfinite(threshold) || threshold < 0.0) {
+                std::fprintf(stderr,
+                             "nvo_bench_diff: --threshold wants a "
+                             "non-negative percentage, got '%s'\n",
+                             arg);
+                return 2;
+            }
         } else if (base_path.empty()) {
             base_path = argv[i];
         } else if (cur_path.empty()) {
@@ -107,12 +159,19 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::string base_bench = "?", cur_bench = "?";
-    auto base = loadRows(base_path, base_bench);
-    auto cur = loadRows(cur_path, cur_bench);
-    if (base_bench != cur_bench)
+    const BenchFile base_file = load(base_path);
+    const BenchFile cur_file = load(cur_path);
+    if (base_file.bench != cur_file.bench)
         std::printf("note: comparing bench '%s' against '%s'\n",
-                    base_bench.c_str(), cur_bench.c_str());
+                    base_file.bench.c_str(), cur_file.bench.c_str());
+    if (int n = configMismatches(base_file, cur_file)) {
+        std::printf("summary: %d config key(s) differ; the runs are "
+                    "not comparable\n",
+                    n);
+        return 2;
+    }
+    const auto &base = base_file.rows;
+    const auto &cur = cur_file.rows;
 
     int regressions = 0, improvements = 0, missing = 0, fresh = 0;
     for (const auto &kv : base) {

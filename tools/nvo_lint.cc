@@ -31,8 +31,8 @@
  *                    per-tenant quota and write-amp accounting.
  *  - metric-registry: instrumented subsystems (src/nvoverlay/,
  *                    src/repl/, src/tenant/) hold metric handles from
- *                    obs::metricRegistry(), never a Histogram, Counter
- *                    or HistMetric by value.
+ *                    obs::metricRegistry(), never a Histogram or
+ *                    HistMetric by value.
  *
  * The persist-domain and ledger-hook rules live in nvo_check, which
  * sees through aliases and checks them semantically.
@@ -516,21 +516,21 @@ lintTokens(const std::string &display, const std::vector<Token> &toks,
         }
 
         // metric-registry: instrumented subsystems must hold metric
-        // *handles* from obs::metricRegistry() (addCounter/addHist),
-        // never own a Histogram/Counter by value — a privately owned
+        // *handles* from obs::metricRegistry() (addHist), never own
+        // a Histogram by value — a privately owned
         // instrument is invisible to the exporter and to the stats
         // JSON metrics section.
         // Pointer declarations (`HistMetric *h`) and forward
         // declarations stay clean: the next token is not an ident.
         static const std::set<std::string> metric_types = {
-            "Histogram", "HistMetric", "Counter"};
+            "Histogram", "HistMetric"};
         if (metric_scope && t.ident && metric_types.count(t.text) &&
             i + 1 < toks.size() && toks[i + 1].ident) {
             out.push_back(
                 {display, t.line, "metric-registry",
                  "by-value " + t.text + " construction outside the "
                  "registry (hold a handle from obs::metricRegistry()"
-                 ".addCounter/addHist so the exporter and the "
+                 ".addHist so the exporter and the "
                  "stats JSON see it)"});
         }
 
@@ -774,9 +774,6 @@ selfTest()
         {"by-value Histogram flagged in nvoverlay", "nvoverlay/foo.cc",
          "struct S { Histogram walkDepth; };\n",
          "metric-registry"},
-        {"by-value Counter flagged in repl", "repl/foo.cc",
-         "void f() { Counter retries; }\n",
-         "metric-registry"},
         {"by-value HistMetric flagged in tenant", "tenant/foo.cc",
          "struct S { obs::HistMetric stall; };\n",
          "metric-registry"},
@@ -784,7 +781,7 @@ selfTest()
          "struct S { obs::HistMetric *hRing = nullptr; };\n",
          nullptr},
         {"metric forward declaration is clean", "nvoverlay/foo.cc",
-         "namespace obs { struct HistMetric; struct Counter; }\n",
+         "namespace obs { struct HistMetric; }\n",
          nullptr},
         {"by-value Histogram outside the scoped dirs is clean",
          "obs/foo.cc",

@@ -6,8 +6,7 @@
  * Tails the append-only JSONL file the metric exporter writes
  * (`metrics.jsonl_out`, one `nvo-metrics-v1` snapshot per line; see
  * docs/OBSERVABILITY.md) and renders the newest snapshot as a compact
- * dashboard: counters with rates derived from the previous snapshot,
- * polled gauges, and histogram percentile rows. Standalone like the
+ * dashboard: polled gauges and histogram percentile rows. Standalone like the
  * other offline tools — json_mini.hh only, no simulator library.
  *
  * Usage:
@@ -67,62 +66,25 @@ parseLine(const std::string &line)
 }
 
 /**
- * Read the newest (and second-newest, for rates) valid snapshot.
- * A fresh read each refresh keeps the tool robust against the
- * exporter appending mid-read: a torn last line simply fails to
- * parse and the previous line is used.
+ * Read the newest valid snapshot. A fresh read each refresh keeps
+ * the tool robust against the exporter appending mid-read: a torn
+ * last line simply fails to parse and the previous line is used.
  */
 bool
-readTail(const std::string &path, Snapshot &latest, Snapshot &prev)
+readTail(const std::string &path, Snapshot &latest)
 {
     std::ifstream in(path);
     if (!in)
         return false;
     std::string line;
-    Snapshot a, b;   // b = newest, a = one before
     while (std::getline(in, line)) {
         if (line.empty())
             continue;
         Snapshot s = parseLine(line);
-        if (!s.root)
-            continue;
-        a = b;
-        b = s;
+        if (s.root)
+            latest = s;
     }
-    latest = b;
-    prev = a;
     return static_cast<bool>(latest.root);
-}
-
-void
-renderCounters(const Snapshot &s, const Snapshot &prev)
-{
-    const Value *cs = s.root->get("counters");
-    if (!cs || cs->obj.empty())
-        return;
-    const Value *ps = prev.root ? prev.root->get("counters") : nullptr;
-    double dcyc = (prev.root && s.cycle > prev.cycle)
-                      ? static_cast<double>(s.cycle - prev.cycle)
-                      : 0.0;
-    std::printf("  %-36s %14s %14s\n", "counter", "total",
-                "per-kcycle");
-    for (const auto &kv : cs->obj) {
-        std::uint64_t cur = kv.second->asU64();
-        std::string rate = "-";
-        if (dcyc > 0.0) {
-            const Value *p = ps ? ps->get(kv.first) : nullptr;
-            std::uint64_t old = p ? p->asU64() : 0;
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%.2f",
-                          static_cast<double>(cur - old) * 1000.0 /
-                              dcyc);
-            rate = buf;
-        }
-        std::printf("  %-36s %14llu %14s\n", kv.first.c_str(),
-                    static_cast<unsigned long long>(cur),
-                    rate.c_str());
-    }
-    std::printf("\n");
 }
 
 /**
@@ -223,8 +185,7 @@ renderHists(const Snapshot &s)
 }
 
 void
-render(const std::string &path, const Snapshot &s, const Snapshot &prev,
-       bool clear)
+render(const std::string &path, const Snapshot &s, bool clear)
 {
     if (clear)
         std::printf("\x1b[H\x1b[2J");   // home + clear screen
@@ -232,7 +193,6 @@ render(const std::string &path, const Snapshot &s, const Snapshot &prev,
     std::printf("epoch %llu   cycle %llu\n\n",
                 static_cast<unsigned long long>(s.epoch),
                 static_cast<unsigned long long>(s.cycle));
-    renderCounters(s, prev);
     renderPolicy(s);
     renderGauges(s);
     renderHists(s);
@@ -279,26 +239,26 @@ main(int argc, char **argv)
         return usage();
 
     if (once) {
-        Snapshot latest, prev;
-        if (!readTail(path, latest, prev)) {
+        Snapshot latest;
+        if (!readTail(path, latest)) {
             std::fprintf(stderr,
                          "nvo_top: no valid nvo-metrics-v1 snapshot "
                          "in %s\n",
                          path.c_str());
             return 1;
         }
-        render(path, latest, prev, false);
+        render(path, latest, false);
         return 0;
     }
 
     std::uint64_t shownEpoch = ~0ull;
     std::uint64_t shownCycle = ~0ull;
     for (;;) {
-        Snapshot latest, prev;
-        if (readTail(path, latest, prev) &&
+        Snapshot latest;
+        if (readTail(path, latest) &&
             (latest.epoch != shownEpoch ||
              latest.cycle != shownCycle)) {
-            render(path, latest, prev, true);
+            render(path, latest, true);
             shownEpoch = latest.epoch;
             shownCycle = latest.cycle;
         }
